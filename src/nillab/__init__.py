@@ -15,13 +15,12 @@ from .budgets import DEFAULT_BUDGET, SearchBudget
 from .complexity import (ComplexityCurve, Cover, classify_growth,
                          complexity_curve, cover_complexity,
                          inverse_limit_complexity_bound, shadowing_net)
-from .complexity import Ball as CoverBall
 from .cubes import (Cube, FaceMove, RPWitness, apply_face, cube_criterion,
                     rp_test, sample_cube, validate_rp_witness, vertex_set)
 from .furstenberg import (coboundary_residual, furstenberg_point,
                           liouville_recipe, make_default_furstenberg,
                           make_furstenberg, validate_resonances)
-from .independence import (Ball, Cylinder, IndependenceReport, IPSet, SetTuple,
+from .independence import (IndependenceReport, IPSet, SetTuple,
                            check_independence, find_ip_independence, fs_set,
                            independence_ladder, sturmian_language)
 from .nilgroup import (GroupElement, GroupLawError, NilGroup, abelian, element,
@@ -35,5 +34,6 @@ from .systems import (CircleCoding, GridError, SymbolicWindow, SystemHandle,
                       make_nilsystem, make_rotation, make_skew_product,
                       make_sturmian, product_grid, sample_points,
                       sturmian_code, sturmian_coding, wrap_dist_block)
+from .targets import Ball, Cylinder, CylinderUnion
 
 __version__ = "0.1.0"

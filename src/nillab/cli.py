@@ -4,10 +4,12 @@ run experiments, emit deterministic CSV/JSON reports.
 Exit codes: 0 success; 2 precondition or configuration error; 3 exceeded
 enumeration/search budget where the command needs the result; 64 usage.
 
-A config file is an INI document ([system] / [<command>] / [budget]
-sections); command-line flags override config keys. Identical resolved
-config + seed gives byte-identical outputs. Timing never goes into output
-files, only to stderr.
+A config file (--config) is an INI document: keys of its [common] section
+apply to every subcommand, keys of a [<command>] section (e.g. [simulate])
+to that subcommand only. Each key is a flag name without its dashes
+(`n_range = 50` stands for `--n-range 50`); flags given on the command line
+override config keys. Identical resolved config + seed gives byte-identical
+outputs. Timing never goes into output files, only to stderr.
 """
 
 from __future__ import annotations
@@ -336,12 +338,21 @@ def _add_common(sp, need_system=True):
     sp.add_argument("--max-cells", dest="max_cells", type=int, default=2_000_000)
 
 
-def build_parser():
-    ap = argparse.ArgumentParser(prog="nillab", description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+def _global_options():
+    """Parser of the options that precede the subcommand."""
+    ap = argparse.ArgumentParser(add_help=False, exit_on_error=False)
     ap.add_argument("--config", help="INI config file; flags override its keys")
     ap.add_argument("--threads", type=int,
                     default=int(os.environ.get("NILLAB_THREADS", "1")))
+    return ap
+
+
+def build_parser():
+    # usage errors in the global options and the subcommand name raise
+    # argparse.ArgumentError instead of exiting
+    ap = argparse.ArgumentParser(prog="nillab", description=__doc__,
+                                 parents=[_global_options()], exit_on_error=False,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command")
 
     sp = sub.add_parser("validate-group", help="group-law axiom tests")
@@ -416,7 +427,7 @@ def build_parser():
     return ap
 
 
-def apply_config_file(ap, argv):
+def apply_config_file(argv):
     """Pull defaults from the INI file; explicit flags still win."""
     if "--config" not in argv:
         return argv
@@ -428,7 +439,10 @@ def apply_config_file(ap, argv):
     if not cp.read(path):
         raise ConfigError("cannot read config file %r" % path)
     rest = argv[:i] + argv[i + 2:]
-    command = next((tok for tok in rest if not tok.startswith("-")), None)
+    # the subcommand is the first positional after the global options
+    pre = _global_options()
+    pre.add_argument("command", nargs="?")
+    command = pre.parse_known_args(rest)[0].command
     injected = []
     for section in ("common", command or ""):
         if section and cp.has_section(section):
@@ -447,19 +461,18 @@ def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
     try:
-        argv = apply_config_file(ap, argv)
+        args = ap.parse_args(apply_config_file(argv))
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return CONFIG_EXIT
-    known = {"validate-group", "simulate", "complexity", "rp-test",
-             "cube-criterion", "ind-check", "ip-search", "averages"}
-    positional = [a for a in argv if not a.startswith("-")]
-    if not positional or positional[0] not in known:
-        bad = positional[0] if positional else "(none)"
-        print("unknown subcommand %r" % bad, file=sys.stderr)
+    except argparse.ArgumentError as exc:
+        args, problem = None, str(exc)
+    else:
+        problem = "missing subcommand"
+    if args is None or args.command is None:
+        print("usage error: %s" % problem, file=sys.stderr)
         ap.print_usage(sys.stderr)
         return USAGE_EXIT
-    args = ap.parse_args(argv)
     if getattr(args, "needs_seed", False) and args.seed is None:
         print("config error: --seed is mandatory for search commands",
               file=sys.stderr)

@@ -16,72 +16,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .budgets import DEFAULT_BUDGET, SearchBudget
-from .systems import GridError, SystemHandle, product_grid
-
-
-@dataclass(frozen=True)
-class Ball:
-    center: tuple
-    radius: float
-
-
-@dataclass(frozen=True)
-class CylinderUnion:
-    """Union of symbol cylinders (word, anchor) for symbolic-system covers."""
-
-    cylinders: tuple
-
-    def contains_block(self, sys, P):
-        out = np.zeros(len(P), dtype=bool)
-        words = np.stack([np.asarray(sys.to_window(p).word) for p in P])
-        c = (words.shape[1] - 1) // 2
-        for word, anchor in self.cylinders:
-            lo = c + anchor
-            seg = words[:, lo:lo + len(word)]
-            out |= np.all(seg == np.asarray(word), axis=1)
-        return out
-
-    def inner_depth(self):
-        # a ball of radius below 2^-(max constrained offset) stays inside
-        reach = max(max(abs(a), abs(a + len(w) - 1)) for w, a in self.cylinders)
-        return 2.0 ** (-(reach + 1))
+from .systems import GridError, SystemHandle
+from .targets import Ball, CylinderUnion  # re-exported: the cover sets
 
 
 @dataclass
 class Cover:
-    """Open cover as a list of membership sets (balls or cylinder unions).
-
-    Each set must support membership via the owning system: balls use the
-    system metric; anything with a `contains_block(sys, P)` method is used
-    directly.
-    """
+    """Open cover as a list of target sets (`nillab.targets`): balls,
+    cylinders or cylinder unions."""
 
     sets: list
     lebesgue_delta: float | None = None
 
     def membership(self, sys: SystemHandle, P):
         """Bool array (len(P), len(sets))."""
-        cols = []
-        for s in self.sets:
-            if isinstance(s, Ball):
-                center = np.asarray(s.center)
-                cols.append(sys.metric_block(P, np.broadcast_to(center, P.shape))
-                            < s.radius)
-            else:
-                cols.append(s.contains_block(sys, P))
-        return np.stack(cols, axis=1)
+        return self.depth(sys, P) > 0
 
     def depth(self, sys: SystemHandle, P):
         """Containment depth per set: how far inside each set each point sits."""
-        cols = []
-        for s in self.sets:
-            if isinstance(s, Ball):
-                center = np.asarray(s.center)
-                cols.append(s.radius - sys.metric_block(
-                    P, np.broadcast_to(center, P.shape)))
-            else:
-                cols.append(np.where(s.contains_block(sys, P), s.inner_depth(), -1.0))
-        return np.stack(cols, axis=1)
+        return np.stack([s.depth(sys, P) for s in self.sets], axis=1)
 
     def validate(self, sys: SystemHandle, samples=512, seed=0):
         rng = np.random.default_rng(seed)
@@ -123,15 +76,15 @@ class ComplexityCurve:
 
 
 def system_grid(sys: SystemHandle, n, eps, budget: SearchBudget):
-    """Grid for horizon n: exact window enumeration for symbolic systems,
-    a system-provided grid hook, or a dense product grid."""
-    if sys.cylinder_grid is not None:
-        return sys.cylinder_grid(n, eps, budget.max_cells)
-    if sys.grid_fn is not None:
-        return sys.grid_fn(n, eps, budget)
-    if sys.torus_dims is None:
+    """Grid rows for horizon n from the system's grid hook: exact window
+    enumeration for symbolic systems, a dense product grid for tori."""
+    return _grid(sys, n, eps, budget)[0]
+
+
+def _grid(sys, n, eps, budget):
+    if sys.grid is None:
         raise GridError("system offers no grid for covering estimates")
-    return product_grid(sys.torus_dims, eps, budget)
+    return sys.grid(n, eps, budget)
 
 
 def shadowing_net(sys: SystemHandle, n, epsilon, budget: SearchBudget = DEFAULT_BUDGET,
@@ -144,19 +97,11 @@ def shadowing_net(sys: SystemHandle, n, epsilon, budget: SearchBudget = DEFAULT_
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    own_enumeration = grid is None and sys.cylinder_grid is not None
     if grid is None:
-        grid = system_grid(sys, n, epsilon, budget)
+        grid, exact = _grid(sys, n, epsilon, budget)
+        if exact:
+            return _whole_grid_net(sys, grid, n, epsilon, budget.seed)
     G = len(grid)
-
-    if own_enumeration and sys.cylinder_grid_exact:
-        # exact-enumeration grids hold one representative per shadowing class:
-        # distinct rows differ inside the resolved window, so nothing shadows
-        # anything else and the net is the whole grid
-        _crosscheck_exact_grid(sys, grid, n, epsilon, budget.seed)
-        return {"net_indices": np.arange(G), "net_points": grid,
-                "assigned": np.arange(G), "grid_size": G, "r_estimate": G,
-                "n": n, "epsilon": epsilon}
 
     orbits = np.empty((n + 1,) + grid.shape, dtype=grid.dtype)
     orbits[0] = grid
@@ -194,6 +139,17 @@ def shadowing_net(sys: SystemHandle, n, epsilon, budget: SearchBudget = DEFAULT_
             "n": n, "epsilon": epsilon}
 
 
+def _whole_grid_net(sys, grid, n, epsilon, seed):
+    """Net of an exact grid, which holds one representative per shadowing
+    class: distinct rows differ inside the resolved window, so nothing
+    shadows anything else and the net is the whole grid."""
+    _crosscheck_exact_grid(sys, grid, n, epsilon, seed)
+    G = len(grid)
+    return {"net_indices": np.arange(G), "net_points": grid,
+            "assigned": np.arange(G), "grid_size": G, "r_estimate": G,
+            "n": n, "epsilon": epsilon}
+
+
 def _crosscheck_exact_grid(sys, grid, n, epsilon, seed, pairs=128):
     """Spot-check that distinct exact-grid rows indeed fail to shadow each other."""
     G = len(grid)
@@ -220,11 +176,16 @@ def complexity_curve(sys: SystemHandle, epsilon, n_values,
     n_values = sorted(set(int(n) for n in n_values))
     curve = ComplexityCurve(epsilon=epsilon,
                             meta={"system": sys.name, "budget_seed": budget.seed})
-    grid = None
-    if sys.cylinder_grid is None:
-        grid = system_grid(sys, max(n_values), epsilon, budget)
+    top = max(n_values)
+    grid, exact = _grid(sys, top, epsilon, budget)
     for n in n_values:
-        net = shadowing_net(sys, n, epsilon, budget, grid=grid)
+        if not exact:
+            net = shadowing_net(sys, n, epsilon, budget, grid=grid)
+        elif n == top:
+            net = _whole_grid_net(sys, grid, n, epsilon, budget.seed)
+        else:
+            # exact grids resolve one horizon only: build each its own
+            net = shadowing_net(sys, n, epsilon, budget)
         curve.records.append({"n": n, "r": net["r_estimate"],
                               "net_size": net["r_estimate"],
                               "grid": net["grid_size"]})
@@ -293,15 +254,13 @@ def cover_complexity(sys: SystemHandle, cover: Cover, n,
     if grid is None:
         grid = system_grid(sys, n, eps_ref, budget)
     G = len(grid)
-    k = len(cover.sets)
-    member = np.empty((n + 1, G, k), dtype=bool)
-    depth = np.empty((n + 1, G, k))
+    depth = np.empty((n + 1, G, len(cover.sets)))
     P = grid
     for t in range(n + 1):
-        member[t] = cover.membership(sys, P)
         depth[t] = cover.depth(sys, P)
         if t < n:
             P = sys.step_block(P)
+    member = depth > 0
 
     itineraries = np.argmax(depth, axis=2).T          # (G, n+1)
     cells, inverse = np.unique(itineraries, axis=0, return_inverse=True)

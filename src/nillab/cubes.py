@@ -124,16 +124,14 @@ def _candidate_pool(sys, x, delta, budget, rng, cap=64):
     half = budget.max_candidates // 2
     orbit = sys.orbit_span(np.asarray(x), -half, half)
     order = np.argsort(np.abs(np.arange(-half, half + 1)), kind="stable")
-    pool = [orbit[i] for i in order]
-    pool.extend(sys.sample_block(rng, budget.max_candidates))
-    pts, count = [], 0
-    for p in pool:
+    pool = np.concatenate([orbit[order], sys.sample_block(rng, budget.max_candidates)])
+    keep = []
+    for i, p in enumerate(pool):
         if sys.metric(p, x) < delta:
-            pts.append(p)
-            count += 1
-            if count >= cap:
+            keep.append(i)
+            if len(keep) >= cap:
                 break
-    return pts
+    return pool[keep]
 
 
 def rp_test(sys: SystemHandle, x, y, d, delta, budget: SearchBudget = DEFAULT_BUDGET):
@@ -161,8 +159,9 @@ def rp_test(sys: SystemHandle, x, y, d, delta, budget: SearchBudget = DEFAULT_BU
     span = int(np.max(np.abs(spiral))) * d if len(spiral) else 0
     stats = {"pairs": 0, "n_values": len(spiral)}
 
-    orbits_x = [sys.orbit_span(c, -span, span) for c in cand_x]
-    orbits_y = [sys.orbit_span(c, -span, span) for c in cand_y]
+    # one orbit per candidate, candidates first: (candidates, 2*span+1, dim)
+    orbits_x = np.ascontiguousarray(np.swapaxes(sys.orbit_span(cand_x, -span, span), 0, 1))
+    orbits_y = np.ascontiguousarray(np.swapaxes(sys.orbit_span(cand_y, -span, span), 0, 1))
     eps_mat = np.array(nonempty)                           # (E, d)
     idx = spiral @ eps_mat.T + span                        # (S, E)
 
@@ -327,7 +326,6 @@ class _ScanCubeSearch:
         self.verts = verts
         self.idx = self.spiral @ np.array(verts).T + self.span
         # near[which][z, t]: is T^t z within delta of x_which
-        self.near = {}
         rows1, rows2 = [], []
         for z in self.zs:
             orbit = sys.orbit_span(z, -self.span, self.span)

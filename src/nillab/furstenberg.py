@@ -21,6 +21,7 @@ the rotation. Everything downstream is plain float work on the phase vector.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -28,11 +29,6 @@ import numpy as np
 from .systems import SystemHandle, wrap_dist_block
 
 TWO_PI = 2.0 * math.pi
-
-
-def _digits(n: int) -> int:
-    """Decimal digit count without stringifying (frequencies can be huge)."""
-    return max(1, int(abs(n).bit_length() * math.log10(2)) + 1)
 
 
 def _ratio_pair(x):
@@ -66,22 +62,31 @@ def _exact_phases(theta, freqs, alpha=None):
     return np.array([_phase_float(n, t_num, t_den) for n in freqs])
 
 
-def h_series(phases, rotations, weights):
-    """Real truncated cocycle sum (1/|k|)(cis(r_k) - 1) cis(phi_k), both signs of k."""
-    phases = np.asarray(phases, dtype=float)
-    cr, sr = np.cos(TWO_PI * rotations), np.sin(TWO_PI * rotations)
-    cp, sp = np.cos(TWO_PI * phases), np.sin(TWO_PI * phases)
-    # Re[(cis(r)-1) cis(phi)] = cos(phi+r) - cos(phi), expanded to keep the
-    # formula independent of the phase-addition path used by the dynamics.
-    return float(np.dot(weights, cp * cr - sp * sr - cp))
+def _harmonics(alpha, coeffs):
+    """Frequencies n_k, weights 2/k (k and -k together) and rotations frac(n_k alpha)."""
+    freqs = [int(n) for n, _ in coeffs]
+    a_num, a_den = _ratio_pair(alpha)
+    return (freqs, np.array([2.0 / int(k) for _, k in coeffs]),
+            np.array([_phase_float(n, a_num, a_den) for n in freqs]))
 
 
-def H_series(phases, weights):
-    """Real truncated transfer function sum (1/|k|) cis(n_k theta), both signs."""
-    return float(np.dot(weights, np.cos(TWO_PI * np.asarray(phases, dtype=float))))
+def _cocycle_terms(phis, rotations):
+    """Re[(cis(r_k) - 1) cis(phi_k)] = cos(phi + r) - cos(phi) per harmonic,
+    expanded to keep the formula independent of the phase-addition path
+    used by the dynamics."""
+    cp, sp = np.cos(TWO_PI * phis), np.sin(TWO_PI * phis)
+    return cp * np.cos(TWO_PI * rotations) - sp * np.sin(TWO_PI * rotations) - cp
 
 
-def make_furstenberg(alpha, coeffs, lam=1.0) -> SystemHandle:
+@dataclass
+class FurstenbergSystem(SystemHandle):
+    """Skew product whose point rows carry their harmonic phases."""
+
+    make_point: callable = None         # (theta1, theta2) -> point row
+    rotations: np.ndarray = None        # frac(n_k alpha) per harmonic
+
+
+def make_furstenberg(alpha, coeffs, lam=1.0) -> FurstenbergSystem:
     """Skew product T(s1, s2) = (s1 + alpha, s2 + lam * h(s1)) on the 2-torus.
 
     coeffs is a list of (n_k, k) pairs for k >= 1 (negative k are implied by
@@ -89,23 +94,16 @@ def make_furstenberg(alpha, coeffs, lam=1.0) -> SystemHandle:
     with `furstenberg_point`. With no coefficients the fiber is frozen and the
     system is a flagged product rotation.
     """
-    alpha_frac = alpha if isinstance(alpha, Fraction) else Fraction(float(alpha))
-    alpha_f = float(alpha_frac)
-    coeffs = [(int(n), int(k)) for n, k in coeffs]
-    if any(k < 1 for _, k in coeffs):
+    alpha_f = float(alpha)
+    if any(int(k) < 1 for _, k in coeffs):
         raise ValueError("series indices k must be >= 1")
-    freqs = [n for n, _ in coeffs]
-    weights = np.array([2.0 / k for _, k in coeffs])
-    a_num, a_den = _ratio_pair(alpha_frac)
-    rotations = np.array([_phase_float(n, a_num, a_den) for n in freqs])
-    K = len(coeffs)
+    freqs, weights, rotations = _harmonics(alpha, coeffs)
+    K = len(freqs)
     lam = float(lam)
     flags = ("empty-coefficients: plain product rotation",) if K == 0 else ()
 
     def _h_block(phis):
-        cr, sr = np.cos(TWO_PI * rotations), np.sin(TWO_PI * rotations)
-        cp, sp = np.cos(TWO_PI * phis), np.sin(TWO_PI * phis)
-        return (cp * cr - sp * sr - cp) @ weights if K else np.zeros(phis.shape[:-1])
+        return _cocycle_terms(phis, rotations) @ weights if K else np.zeros(phis.shape[:-1])
 
     def step_block(P):
         out = np.array(P, dtype=float)
@@ -128,7 +126,14 @@ def make_furstenberg(alpha, coeffs, lam=1.0) -> SystemHandle:
         thetas = rng.uniform(0.0, 1.0, size=(count, 2))
         return np.stack([make_point(t1, t2) for t1, t2 in thetas])
 
-    def orbit_span_fn(x, lo, hi):
+    def orbit(x, lo, hi):
+        if x.ndim > 1:
+            # one point at a time: summing the harmonics of a whole block at
+            # once would round differently
+            out = np.empty((hi - lo + 1,) + x.shape)
+            for i, p in enumerate(x):
+                out[:, i] = orbit(p, lo, hi)
+            return out
         # fiber telescopes: theta2(n) = theta2 + lam * (H(phases_n) - H(phases_0))
         n = np.arange(lo, hi + 1, dtype=float)
         out = np.empty((n.size, 2 + K))
@@ -146,23 +151,12 @@ def make_furstenberg(alpha, coeffs, lam=1.0) -> SystemHandle:
         phis = _exact_phases(theta1, freqs)
         return np.concatenate([[float(theta1) % 1.0, float(theta2) % 1.0], phis])
 
-    sys = SystemHandle(
+    return FurstenbergSystem(
         name="furstenberg", kind="torus",
         step_block=step_block, inverse_step_block=inverse_step_block,
-        metric_block=metric_block, sample_block=sample_block,
-        diameter=0.5, torus_dims=None, orbit_span_fn=orbit_span_fn,
-        meta={"alpha": alpha_f, "lambda": lam, "K": K,
-              "freq_digits": max((_digits(n) for n in freqs), default=0)},
-        flags=flags,
+        metric_block=metric_block, sample_block=sample_block, orbit=orbit,
+        diameter=0.5, flags=flags, make_point=make_point, rotations=rotations,
     )
-    sys.make_point = make_point
-    sys.alpha_frac = alpha_frac
-    sys.coeffs = coeffs
-    sys.weights = weights
-    sys.rotations = rotations
-    sys.h_at = lambda point: h_series(point[2:], rotations, weights)
-    sys.H_at = lambda point: H_series(point[2:], weights)
-    return sys
 
 
 def furstenberg_point(sys, theta1, theta2):
@@ -172,46 +166,29 @@ def furstenberg_point(sys, theta1, theta2):
 def coboundary_residual(alpha, coeffs, grid=1000):
     """Max over a theta-grid of |h(theta) - (H(theta+alpha) - H(theta))|.
 
-    Phases at theta and theta + alpha are computed in exact rational
-    arithmetic; a float-rounded theta + alpha would scramble frac(n * theta)
-    completely for large n, so this is the only meaningful way to evaluate
-    the transfer identity.
+    The full-truncation entry of `coboundary_prefix_residuals`; 0.0 without
+    coefficients.
     """
-    coeffs = [(int(n), int(k)) for n, k in coeffs]
-    freqs = [n for n, _ in coeffs]
-    weights = np.array([2.0 / k for _, k in coeffs])
-    a_num, a_den = _ratio_pair(alpha)
-    rotations = np.array([_phase_float(n, a_num, a_den) for n in freqs])
-    worst = 0.0
-    thetas = np.arange(grid) / float(grid)
-    for theta in thetas:
-        phis = _exact_phases(theta, freqs)
-        phis_next = _exact_phases(theta, freqs, alpha=alpha)
-        lhs = h_series(phis, rotations, weights)
-        rhs = H_series(phis_next, weights) - H_series(phis, weights)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    worst = coboundary_prefix_residuals(alpha, coeffs, grid)
+    return float(worst[-1]) if len(worst) else 0.0
 
 
 def coboundary_prefix_residuals(alpha, coeffs, grid=1000):
     """Max residual of the transfer identity for every truncation prefix.
 
     The identity telescopes termwise, so prefix sums of per-term residual
-    vectors decide all K' <= K in one pass.
+    vectors decide all K' <= K in one pass. Phases at theta and theta + alpha
+    are computed in exact rational arithmetic; a float-rounded theta + alpha
+    would scramble frac(n * theta) completely for large n, so this is the
+    only meaningful way to evaluate the transfer identity.
     """
-    coeffs = [(int(n), int(k)) for n, k in coeffs]
-    freqs = [n for n, _ in coeffs]
-    weights = np.array([2.0 / k for _, k in coeffs])
-    a_num, a_den = _ratio_pair(alpha)
-    rotations = np.array([_phase_float(n, a_num, a_den) for n in freqs])
-    cr, sr = np.cos(TWO_PI * rotations), np.sin(TWO_PI * rotations)
-    worst = np.zeros(len(coeffs))
+    freqs, weights, rotations = _harmonics(alpha, coeffs)
+    worst = np.zeros(len(freqs))
     for theta in np.arange(grid) / float(grid):
         phis = _exact_phases(theta, freqs)
         phis_next = _exact_phases(theta, freqs, alpha=alpha)
-        cp, sp = np.cos(TWO_PI * phis), np.sin(TWO_PI * phis)
-        h_terms = weights * (cp * cr - sp * sr - cp)
-        dH_terms = weights * (np.cos(TWO_PI * phis_next) - cp)
+        h_terms = weights * _cocycle_terms(phis, rotations)
+        dH_terms = weights * (np.cos(TWO_PI * phis_next) - np.cos(TWO_PI * phis))
         resid = np.abs(np.cumsum(h_terms - dH_terms))
         worst = np.maximum(worst, resid)
     return worst

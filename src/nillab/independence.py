@@ -26,6 +26,7 @@ import numpy as np
 from .arcs import ArcUnion, cut_midpoints
 from .budgets import DEFAULT_BUDGET, SearchBudget
 from .systems import SystemHandle, symbol_resolution, approx_rational, sturmian_coding
+from .targets import Ball, Cylinder
 
 
 @dataclass(frozen=True)
@@ -48,18 +49,6 @@ def fs_set(generators) -> IPSet:
         sums |= {s + g for s in sums}
     sums.discard(0)
     return IPSet(gens, tuple(sorted(sums)))
-
-
-@dataclass(frozen=True)
-class Ball:
-    center: tuple
-    radius: float
-
-
-@dataclass(frozen=True)
-class Cylinder:
-    word: tuple
-    anchor: int
 
 
 @dataclass(frozen=True)
@@ -142,21 +131,6 @@ def _fullshift_constraints(sys: SystemHandle, target):
     return None
 
 
-def _membership_block(sys: SystemHandle, points, target):
-    """Vectorized membership of point rows in a target set."""
-    if isinstance(target, Ball):
-        center = np.asarray(target.center)
-        return sys.metric_block(points, np.broadcast_to(center, points.shape)) \
-            < target.radius
-    if isinstance(target, Cylinder):
-        words = np.stack([np.asarray(sys.to_window(p).word) for p in points])
-        c = (words.shape[1] - 1) // 2
-        lo = c + target.anchor
-        seg = words[:, lo:lo + len(target.word)]
-        return np.all(seg == np.asarray(target.word), axis=1)
-    raise TypeError("unknown target set type %r" % (target,))
-
-
 # -- the checker ---------------------------------------------------------------
 
 
@@ -201,7 +175,7 @@ def check_independence(sys: SystemHandle, sets: SetTuple, F,
     return _check_sampled(sys, sets, F, k, budget)
 
 
-def _check_exact_partition(sys, arcs, F, n_patterns, boundaries=None):
+def _check_exact_partition(sys, arcs, F, n_patterns, boundaries):
     """Realized patterns of a partition coding, via boundary cuts.
 
     Every point of an arc between consecutive cut points produces the same
@@ -211,8 +185,6 @@ def _check_exact_partition(sys, arcs, F, n_patterns, boundaries=None):
     pattern count beyond |boundaries| * |F| is refuted outright.
     """
     alpha = sys.coding.alpha
-    if boundaries is None:
-        boundaries = sorted({b for a in arcs for b in a.boundaries()})
     if n_patterns > len(boundaries) * len(F) and n_patterns > 4096:
         # refuted by counting alone; skip enumerating the realized set
         return IndependenceReport(
@@ -330,13 +302,11 @@ def _check_sampled(sys, sets, F, k, budget):
     rng = np.random.default_rng(budget.seed)
     Z = sys.sample_block(rng, budget.max_candidates)
     # membership[z, j_idx, i]: T^j z in A_i
-    hi = max(F)
+    pts = sys.orbit_span(Z, 0, max(F))[np.asarray(F)]       # (|F|, len(Z), d)
     member = np.zeros((len(Z), len(F), k), dtype=bool)
-    for zi, z in enumerate(Z):
-        orbit = sys.orbit_span(z, 0, hi)
-        pts = orbit[np.asarray(F)]
+    for zi in range(len(Z)):
         for i, t in enumerate(sets.targets):
-            member[zi, :, i] = _membership_block(sys, pts, t)
+            member[zi, :, i] = t.depth(sys, pts[:, zi]) > 0
     witnesses, failures = {}, []
     count = 0
     for pat in itertools.product(range(1, k + 1), repeat=len(F)):

@@ -36,22 +36,15 @@ class MetricParams:
 
     gamma_bound: sup-norm radius C for lattice candidates; None picks
     2 + max coordinate norm of the two representatives.
-    one_hop: single coordinate hop instead of the path infimum; the only
-    supported mode in this version.
     max_cells: cap on the number of enumerated lattice points.
-    point_tol: float-equality tolerance for point identity.
     """
 
     gamma_bound: float | None = None
-    one_hop: bool = True
     max_cells: int = 200_000
-    point_tol: float = 1e-12
 
     def __post_init__(self):
         if self.gamma_bound is not None and self.gamma_bound < 1:
             raise ValueError("gamma_bound must be >= 1")
-        if not self.one_hop:
-            raise ValueError("only the one-hop metric is implemented")
 
 
 DEFAULT_PARAMS = MetricParams()
@@ -132,10 +125,6 @@ def dist_quotient_block(grp: NilGroup, P, Q, params: MetricParams = DEFAULT_PARA
     d1 = np.min(dist_group_block(grp, P[..., None, :], qg), axis=-1)
     d2 = np.min(dist_group_block(grp, Q[..., None, :], pg), axis=-1)
     return np.minimum(d1, d2)
-
-
-def points_equal(p: QuotientPoint, q: QuotientPoint, tol=1e-12) -> bool:
-    return dist_quotient(p, q) <= tol
 
 
 def orbit_distance_growth(system, x: QuotientPoint, y: QuotientPoint, n_max: int):

@@ -40,9 +40,6 @@ class SparsePoly:
             return "SparsePoly(0)"
         return "SparsePoly(%d terms, arity %d)" % (len(self.terms), self.arity)
 
-    def is_zero(self) -> bool:
-        return all(t.coeff == 0.0 for t in self.terms)
-
     def __call__(self, t, u=None):
         """Evaluate on coordinate arrays of shape (..., r) with r >= arity."""
         t = np.asarray(t, dtype=float)

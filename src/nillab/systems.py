@@ -15,7 +15,7 @@ window; windows equal on the whole stored range count as distance 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +23,10 @@ import numpy as np
 from .arcs import ArcUnion, cut_midpoints
 from .nilgroup import NilGroup, element, inv, power_sequence
 from .nilmetric import MetricParams, dist_quotient_block
+
+# nilsystem orbits advance in chunks of this many steps; where the chunks
+# split fixes the rounding of the whole float trajectory
+ORBIT_CHUNK = 4096
 
 
 def wrap_dist_block(P, Q):
@@ -55,6 +59,37 @@ def product_grid(dim, eps, budget):
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
+def _product_grid_hook(dim):
+    """Grid hook of a torus-like space: the dense product grid at any horizon."""
+    return lambda n, eps, budget: (product_grid(dim, eps, budget), False)
+
+
+def _times(lo, hi, ndim):
+    """Times lo..hi as a float column, shaped (T, 1, ..., 1) with ndim ones."""
+    return np.arange(lo, hi + 1, dtype=float).reshape((-1,) + (1,) * ndim)
+
+
+def _uniform_sampler(dim):
+    """Sampler of uniform points on [0, 1)^dim."""
+    return lambda rng, count: rng.uniform(0.0, 1.0, size=(count, dim))
+
+
+def _translation(alpha):
+    """Step, inverse step and closed-form orbit of the translation by alpha
+    on a torus, as SystemHandle fields."""
+    def step_block(P):
+        return (P + alpha) % 1.0
+
+    def inverse_step_block(P):
+        return (P - alpha) % 1.0
+
+    def orbit(X, lo, hi):
+        return (X + _times(lo, hi, X.ndim) * alpha) % 1.0
+
+    return {"step_block": step_block, "inverse_step_block": inverse_step_block,
+            "orbit": orbit}
+
+
 def approx_rational(x, max_den=10 ** 4, tol=1e-12):
     """Small-denominator rational hiding in a float, or None.
 
@@ -78,18 +113,15 @@ class SystemHandle:
     inverse_step_block: callable
     metric_block: callable         # rowwise distance of two blocks
     sample_block: callable         # (rng, count) -> block
+    orbit: callable                # (X (..., d), lo, hi) -> (hi-lo+1, ..., d)
     diameter: float
-    meta: dict = field(default_factory=dict)
     flags: tuple = ()
-    torus_dims: int | None = None  # dense product grids make sense along these
-    orbit_span_fn: callable = None           # (x, lo, hi) -> ((hi-lo+1), dim)
-    cylinder_grid: callable = None           # (n, eps, max_points) -> block
-    cylinder_grid_exact: bool = False        # grid rows are pairwise non-shadowing
-    grid_fn: callable = None                 # (n, eps, budget) -> block
+    # (n, eps, budget) -> (block, exact); exact: the rows are pairwise
+    # non-shadowing at horizon n, one per shadowing class
+    grid: callable = None
     to_window: callable = None               # point -> SymbolicWindow
     construct_point: callable = None         # [(offset, symbols)] -> point | None
     coding: "CircleCoding" = None            # exact rotation-coded structure
-    levels: tuple = ()                       # inverse-limit structure
 
     # -- scalar conveniences --
 
@@ -106,19 +138,12 @@ class SystemHandle:
         return self.sample_block(rng, count)
 
     def orbit_span(self, x, lo, hi):
-        """Points T^lo x .. T^hi x as a block (inclusive range)."""
-        if self.orbit_span_fn is not None:
-            return self.orbit_span_fn(np.asarray(x), lo, hi)
-        x = np.asarray(x)
-        out = np.empty((hi - lo + 1,) + x.shape, dtype=x.dtype)
-        p = x
-        for _ in range(-lo if lo < 0 else 0):
-            p = self.inverse_step(p)
-        out[0] = p
-        for i in range(1, hi - lo + 1):
-            p = self.step(p)
-            out[i] = p
-        return out
+        """Points T^lo x .. T^hi x (inclusive range) of a point or a block.
+
+        A point of shape (d,) gives shape (hi-lo+1, d); a block of shape
+        (..., d) gives (hi-lo+1, ..., d), one orbit per point.
+        """
+        return self.orbit(np.asarray(x), lo, hi)
 
     def orbit_block(self, x, count):
         return self.orbit_span(x, 0, count - 1)
@@ -186,29 +211,13 @@ def make_rotation(alpha) -> SystemHandle:
     rats = [approx_rational(a) for a in alpha]
     if all(r is not None for r in rats):
         flags = ("rational-rotation: not minimal",)
-
-    def step_block(P):
-        return (P + alpha) % 1.0
-
-    def inverse_step_block(P):
-        return (P - alpha) % 1.0
-
-    def sample_block(rng, count):
-        return rng.uniform(0.0, 1.0, size=(count, m))
-
-    def orbit_span_fn(x, lo, hi):
-        n = np.arange(lo, hi + 1, dtype=float)
-        return (x[None, :] + n[:, None] * alpha[None, :]) % 1.0
-
     coding = None
     if m == 1:
         coding = CircleCoding(float(alpha[0]), (ArcUnion.full(),))
     return SystemHandle(
-        name="rotation", kind="torus",
-        step_block=step_block, inverse_step_block=inverse_step_block,
-        metric_block=wrap_dist_block, sample_block=sample_block,
-        diameter=0.5, torus_dims=m, orbit_span_fn=orbit_span_fn,
-        meta={"alpha": [float(a) for a in alpha]}, flags=flags, coding=coding,
+        name="rotation", kind="torus", **_translation(alpha),
+        metric_block=wrap_dist_block, sample_block=_uniform_sampler(m),
+        diameter=0.5, grid=_product_grid_hook(m), flags=flags, coding=coding,
     )
 
 
@@ -228,30 +237,26 @@ def make_skew_product(alpha) -> SystemHandle:
         out[..., 1] = (P[..., 1] - out[..., 0]) % 1.0
         return out
 
-    def sample_block(rng, count):
-        return rng.uniform(0.0, 1.0, size=(count, 2))
-
-    def orbit_span_fn(x, lo, hi):
-        n = np.arange(lo, hi + 1, dtype=float)
-        out = np.empty((n.size, 2))
-        out[:, 0] = (x[0] + n * alpha) % 1.0
-        out[:, 1] = (x[1] + n * x[0] + n * (n - 1) / 2.0 * alpha) % 1.0
+    def orbit(X, lo, hi):
+        n = _times(lo, hi, X.ndim - 1)
+        out = np.empty((len(n),) + X.shape)
+        out[..., 0] = (X[..., 0] + n * alpha) % 1.0
+        out[..., 1] = (X[..., 1] + n * X[..., 0] + n * (n - 1) / 2.0 * alpha) % 1.0
         return out
 
     return SystemHandle(
         name="skew", kind="torus",
         step_block=step_block, inverse_step_block=inverse_step_block,
-        metric_block=wrap_dist_block, sample_block=sample_block,
-        diameter=0.5, torus_dims=2, orbit_span_fn=orbit_span_fn,
-        meta={"alpha": alpha},
+        metric_block=wrap_dist_block, sample_block=_uniform_sampler(2),
+        orbit=orbit, diameter=0.5, grid=_product_grid_hook(2),
     )
 
 
 # -- nilsystems ----------------------------------------------------------------
 
 
-def make_nilsystem(group: NilGroup, tau, metric_params: MetricParams = MetricParams(),
-                   orbit_chunk=4096) -> SystemHandle:
+def make_nilsystem(group: NilGroup, tau,
+                   metric_params: MetricParams = MetricParams()) -> SystemHandle:
     """Left translation x -> tau x on G/Gamma in reduced coordinates.
 
     Points are fundamental-domain coordinate rows (all entries in [0, 1));
@@ -274,37 +279,34 @@ def make_nilsystem(group: NilGroup, tau, metric_params: MetricParams = MetricPar
     def metric_block(P, Q):
         return dist_quotient_block(group, P, Q, metric_params)
 
-    def sample_block(rng, count):
-        return rng.uniform(0.0, 1.0, size=(count, m))
-
-    def orbit_span_fn(x, lo, hi):
+    def orbit(X, lo, hi):
         count = hi - lo + 1
-        out = np.empty((count, m))
-        base = np.asarray(x, dtype=float)
+        out = np.empty((count,) + X.shape)
+        base = np.asarray(X, dtype=float)
         if lo != 0:
             # jump to T^lo x, then advance forward
             jump = power_sequence(tau if lo > 0 else tau_inv, abs(lo) + 1)
             base = _reduce(group.mul_block(jump[-1], base))
+        lead = (1,) * (X.ndim - 1)      # the powers broadcast over the block
         filled = 0
         while filled < count:
-            chunk = min(orbit_chunk, count - filled)
+            chunk = min(ORBIT_CHUNK, count - filled)
             powers = power_sequence(tau, chunk + 1)
             out[filled:filled + chunk] = _reduce(
-                group.mul_block(powers[:chunk], base))
+                group.mul_block(powers[:chunk].reshape((chunk,) + lead + (m,)), base))
             base = _reduce(group.mul_block(powers[chunk], base))
             filled += chunk
         return out
 
-    sys = SystemHandle(
+    sample_block = _uniform_sampler(m)
+    probe = sample_block(np.random.default_rng(0), 48)
+    return SystemHandle(
         name="nilsystem", kind="quotient",
         step_block=step_block, inverse_step_block=inverse_step_block,
-        metric_block=metric_block, sample_block=sample_block,
-        diameter=1.0, torus_dims=m, orbit_span_fn=orbit_span_fn,
-        meta={"group": group.name, "tau": [float(c) for c in tau.coords]},
+        metric_block=metric_block, sample_block=sample_block, orbit=orbit,
+        diameter=float(np.max(metric_block(probe[:, None, :], probe[None, :, :]))),
+        grid=_product_grid_hook(m),
     )
-    probe = sample_points(sys, 48, seed=0)
-    sys.diameter = float(np.max(metric_block(probe[:, None, :], probe[None, :, :])))
-    return sys
 
 
 # -- Sturmian subshift ---------------------------------------------------------
@@ -343,44 +345,29 @@ def make_sturmian(alpha, L=16) -> SystemHandle:
     coding = sturmian_coding(alpha)
     offsets = np.arange(-L, L + 1)
 
-    def step_block(P):
-        return (P + alpha) % 1.0
-
-    def inverse_step_block(P):
-        return (P - alpha) % 1.0
-
     def metric_block(P, Q):
         wp = coding.symbols_block(P[..., 0], offsets)
         wq = coding.symbols_block(Q[..., 0], offsets)
         return _window_distance(wp, wq, L)
 
-    def sample_block(rng, count):
-        return rng.uniform(0.0, 1.0, size=(count, 1))
-
-    def orbit_span_fn(x, lo, hi):
-        n = np.arange(lo, hi + 1, dtype=float)
-        return ((x[0] + n * alpha) % 1.0)[:, None]
-
     def to_window(point):
         return sturmian_code(alpha, point[0], L)
 
-    def cylinder_grid(n, eps, max_points):
+    def grid(n, eps, budget):
+        # one point per coding cell of the window that decides (n, eps)-shadowing
         w = symbol_resolution(eps)
         lo, hi = -(w - 1), n + (w - 1)
         cuts = (-np.arange(lo, hi + 2) * alpha) % 1.0
         mids = cut_midpoints(cuts)
-        if mids.size > max_points:
+        if mids.size > budget.max_cells:
             raise ValueError("sturmian cylinder grid exceeds max_points")
-        return mids[:, None]
+        return mids[:, None], True
 
     return SystemHandle(
-        name="sturmian", kind="symbolic",
-        step_block=step_block, inverse_step_block=inverse_step_block,
-        metric_block=metric_block, sample_block=sample_block,
-        diameter=1.0, orbit_span_fn=orbit_span_fn,
-        cylinder_grid=cylinder_grid, cylinder_grid_exact=True,
-        to_window=to_window, coding=coding,
-        meta={"alpha": alpha, "L": int(L)}, flags=flags,
+        name="sturmian", kind="symbolic", **_translation(alpha),
+        metric_block=metric_block, sample_block=_uniform_sampler(1),
+        diameter=1.0, grid=grid,
+        to_window=to_window, coding=coding, flags=flags,
     )
 
 
@@ -458,35 +445,52 @@ def make_fullshift(k, L=8, reserve=128) -> SystemHandle:
             fixed[start:stop] = True
         return out
 
-    def cylinder_grid(n, eps, max_points):
+    def orbit(X, lo, hi):
+        # the orbit iterated from T^lo x: a backward jump pushes the last |lo|
+        # symbols off the stored range, and later forward steps refill zeros
+        left, right = max(-lo, 0), max(hi, 0)
+        padded = np.zeros(X.shape[:-1] + (left + width + right,), dtype=X.dtype)
+        padded[..., left:left + width] = X
+        if lo < 0:
+            padded[..., max(left + width + lo, left):left + width] = 0
+        windows = np.lib.stride_tricks.sliding_window_view(padded, width, axis=-1)
+        return np.moveaxis(windows[..., left + lo:left + hi + 1, :], -2, 0).copy()
+
+    def grid(n, eps, budget):
+        # every window that decides (n, eps)-shadowing, once each
         w = symbol_resolution(eps)
         span = n + 2 * w - 1
-        if k ** span > max_points:
-            raise ValueError(
-                "full-shift cylinder grid needs %d^%d windows (> %d)" % (k, span, max_points))
+        if k ** span > budget.max_cells:
+            raise ValueError("full-shift cylinder grid needs %d^%d windows (> %d)"
+                             % (k, span, budget.max_cells))
         if w - 1 > half or n + w - 1 > half:
             raise ValueError("horizon exceeds the stored window range")
-        grid = np.zeros((k ** span, width), dtype=np.int8)
+        rows = np.zeros((k ** span, width), dtype=np.int8)
         codes = np.arange(k ** span)
         for j in range(span):
-            grid[:, center - (w - 1) + j] = (codes // (k ** j)) % k
-        return grid
+            rows[:, center - (w - 1) + j] = (codes // (k ** j)) % k
+        return rows, True
 
     return SystemHandle(
         name="fullshift", kind="symbolic",
         step_block=step_block, inverse_step_block=inverse_step_block,
-        metric_block=metric_block, sample_block=sample_block,
-        diameter=1.0, cylinder_grid=cylinder_grid, cylinder_grid_exact=True,
-        to_window=to_window, construct_point=construct_point,
-        meta={"k": int(k), "L": int(L), "reserve": int(reserve)},
+        metric_block=metric_block, sample_block=sample_block, orbit=orbit,
+        diameter=1.0, grid=grid, to_window=to_window, construct_point=construct_point,
     )
 
 
 # -- inverse limits --------------------------------------------------------------
 
 
+@dataclass
+class InverseLimitSystem(SystemHandle):
+    """Inverse-limit tower; points are threads, the levels' points side by side."""
+
+    thread_compatible: callable = None     # (P, tol) -> do the rows project consistently
+
+
 def make_inverse_limit(levels, factor_maps, validation_samples=64, seed=0,
-                       tol=1e-9) -> SystemHandle:
+                       tol=1e-9) -> InverseLimitSystem:
     """Finite tower of systems glued along factor maps, with metric sum 2^-i rho_i.
 
     factor_maps[i] sends level-(i+2) point blocks onto level-(i+1) blocks and
@@ -536,21 +540,16 @@ def make_inverse_limit(levels, factor_maps, validation_samples=64, seed=0,
     def sample_block(rng, count):
         return _thread_from_top(levels[-1].sample_block(rng, count))
 
-    def grid_fn(n, eps, budget):
+    def grid(n, eps, budget):
         # threads are parameterized by the top level: grid it and push down
-        top = levels[-1]
-        if top.cylinder_grid is not None:
-            top_grid = top.cylinder_grid(n, eps, budget.max_cells)
-        elif top.torus_dims is not None:
-            top_grid = product_grid(top.torus_dims, eps, budget)
-        else:
+        if levels[-1].grid is None:
             raise GridError("top level offers no grid to thread")
-        return _thread_from_top(top_grid)
+        top_grid, _ = levels[-1].grid(n, eps, budget)
+        return _thread_from_top(top_grid), False
 
-    def orbit_span_fn(x, lo, hi):
-        parts = np.split(np.asarray(x), splits)
+    def orbit(X, lo, hi):
         return np.concatenate(
-            [lvl.orbit_span(part, lo, hi) for lvl, part in zip(levels, parts)], axis=-1)
+            [lvl.orbit_span(part, lo, hi) for lvl, part in zip(levels, _parts(X))], axis=-1)
 
     def thread_compatible(P, tol=1e-9):
         parts = _parts(P)
@@ -559,14 +558,9 @@ def make_inverse_limit(levels, factor_maps, validation_samples=64, seed=0,
             for i in range(len(factor_maps))) if factor_maps else True
 
     diam = float(np.dot(weights, [lvl.diameter for lvl in levels]))
-    sys = SystemHandle(
+    return InverseLimitSystem(
         name="inverse_limit", kind="product",
         step_block=step_block, inverse_step_block=inverse_step_block,
-        metric_block=metric_block, sample_block=sample_block,
-        diameter=diam, orbit_span_fn=orbit_span_fn, grid_fn=grid_fn,
-        meta={"levels": [lvl.name for lvl in levels]},
-        levels=tuple(levels),
+        metric_block=metric_block, sample_block=sample_block, orbit=orbit,
+        diameter=diam, grid=grid, thread_compatible=thread_compatible,
     )
-    sys.thread_compatible = thread_compatible
-    sys.level_splits = splits
-    return sys

@@ -170,3 +170,25 @@ def test_furstenberg_coeffs_csv(tmp_path):
                 "furstenberg:alpha=golden,coeffs=%s,lam=0.5" % table,
                 "--start", "0.1/0.2", "--steps", "5", "--out", str(out)])
     assert code == 0
+
+
+def _data_rows(path):
+    return [l for l in path.read_text().splitlines() if not l.startswith("#")]
+
+
+def test_threads_flag_before_subcommand(tmp_path):
+    # the value of --threads must not be taken for the subcommand
+    ladder = ["ip-search", "--system", "sturmian:alpha=golden", "--targets",
+              "cyl:0@0 cyl:1@0", "--m", "2", "--bound", "15", "--ladder",
+              "--seed", "7", "--out"]
+    one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+    assert run(["--threads", "1"] + ladder + [str(one)]) == 0
+    assert run(["--threads", "2"] + ladder + [str(two)]) == 0
+    assert _data_rows(two) == _data_rows(one)
+
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[simulate]\nsystem = rotation:alpha=golden\nsteps = 7\n")
+    out = tmp_path / "o.csv"
+    assert run(["--config", str(cfg), "--threads", "2", "simulate", "--start", "0",
+                "--out", str(out)]) == 0
+    assert len(_data_rows(out)) == 1 + 7

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from nillab.budgets import SearchBudget
+from nillab.furstenberg import make_furstenberg
 from nillab.nilgroup import abelian, heisenberg3
 from nillab.systems import (SymbolicWindow, approx_rational, make_fullshift,
                             make_inverse_limit, make_nilsystem, make_rotation,
@@ -145,7 +147,7 @@ def test_fullshift_semantics():
     assert sys.metric(a, b) == 1.0
 
     # 2^5 distinct 5-windows over the binary alphabet
-    grid = sys.cylinder_grid(2, 0.4, 10_000)    # span n + 2w - 1 = 5
+    grid, _ = sys.grid(2, 0.4, SearchBudget(max_cells=10_000))    # span n + 2w - 1 = 5
     lo = center - 1
     windows = {tuple(row[lo:lo + 5]) for row in grid}
     assert len(windows) == 32
@@ -199,3 +201,43 @@ def test_approx_rational():
     assert approx_rational(0.25) is not None
     assert approx_rational(1 / 3) is not None
     assert approx_rational(GOLDEN) is None
+
+
+def every_constructor():
+    rot, skew = make_rotation([GOLDEN]), make_skew_product(GOLDEN)
+    return [
+        rot, skew,
+        make_nilsystem(heisenberg3(), [GOLDEN, np.sqrt(2) / 2, 0.0]),
+        make_sturmian(GOLDEN, L=12),
+        make_fullshift(2, L=6),
+        make_inverse_limit([rot, skew], [lambda P: P[..., :1]]),
+        make_furstenberg(GOLDEN, [(1, 1), (2, 2), (3, 3), (5, 4)]),
+    ]
+
+
+@pytest.mark.parametrize("sys", every_constructor(), ids=lambda s: s.name)
+def test_block_orbit_matches_point_orbits(sys):
+    X = sample_points(sys, 5, seed=0)
+    for lo, hi in ((-7, 12), (-300, 4500)):
+        B = sys.orbit_span(X, lo, hi)
+        assert B.shape == (hi - lo + 1,) + X.shape
+        for i in range(len(X)):
+            assert np.array_equal(B[:, i], sys.orbit_span(X[i], lo, hi))
+    nested = sys.orbit_span(X.reshape((5, 1, -1)), -3, 4)
+    assert np.array_equal(nested[:, :, 0], sys.orbit_span(X, -3, 4))
+
+
+def test_fullshift_orbit_is_iterated_steps():
+    sys = make_fullshift(2, L=6, reserve=8)
+    X = sample_points(sys, 4, seed=2)
+    X[:, -3:] = 1                       # symbols at the edge of the stored range
+    for lo, hi in ((-5, 9), (-30, -2), (0, 25), (4, 12)):
+        ref = []
+        p = X
+        for _ in range(abs(lo)):
+            p = sys.inverse_step_block(p) if lo < 0 else sys.step_block(p)
+        ref.append(p)
+        for _ in range(hi - lo):
+            p = sys.step_block(p)
+            ref.append(p)
+        assert np.array_equal(sys.orbit_span(X, lo, hi), np.stack(ref))
