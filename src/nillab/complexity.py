@@ -103,10 +103,7 @@ def shadowing_net(sys: SystemHandle, n, epsilon, budget: SearchBudget = DEFAULT_
             return _whole_grid_net(sys, grid, n, epsilon, budget.seed)
     G = len(grid)
 
-    orbits = np.empty((n + 1,) + grid.shape, dtype=grid.dtype)
-    orbits[0] = grid
-    for t in range(1, n + 1):
-        orbits[t] = sys.step_block(orbits[t - 1])
+    orbits = sys.orbit_span(grid, 0, n)
 
     # check late times first: orbit separation grows with t for the systems of
     # interest, so most non-covered points drop out immediately
@@ -159,11 +156,10 @@ def _crosscheck_exact_grid(sys, grid, n, epsilon, seed, pairs=128):
     i = rng.integers(0, G, size=pairs)
     j = rng.integers(0, G, size=pairs)
     keep = i != j
-    a, b = grid[i[keep]], grid[j[keep]]
-    worst = np.full(a.shape[0], -np.inf)
-    for _ in range(n + 1):
+    orbits = sys.orbit_span(np.stack([grid[i[keep]], grid[j[keep]]]), 0, n)
+    worst = np.full(orbits.shape[2], -np.inf)
+    for a, b in orbits:
         worst = np.maximum(worst, sys.metric_block(a, b))
-        a, b = sys.step_block(a), sys.step_block(b)
     if np.any(worst <= epsilon):
         raise RuntimeError("exact symbolic grid has mutually shadowing rows: "
                            "program error in the cylinder enumeration")
@@ -255,11 +251,8 @@ def cover_complexity(sys: SystemHandle, cover: Cover, n,
         grid = system_grid(sys, n, eps_ref, budget)
     G = len(grid)
     depth = np.empty((n + 1, G, len(cover.sets)))
-    P = grid
-    for t in range(n + 1):
+    for t, P in enumerate(sys.orbit_span(grid, 0, n)):
         depth[t] = cover.depth(sys, P)
-        if t < n:
-            P = sys.step_block(P)
     member = depth > 0
 
     itineraries = np.argmax(depth, axis=2).T          # (G, n+1)

@@ -102,23 +102,6 @@ def make_furstenberg(alpha, coeffs, lam=1.0) -> FurstenbergSystem:
     lam = float(lam)
     flags = ("empty-coefficients: plain product rotation",) if K == 0 else ()
 
-    def _h_block(phis):
-        return _cocycle_terms(phis, rotations) @ weights if K else np.zeros(phis.shape[:-1])
-
-    def step_block(P):
-        out = np.array(P, dtype=float)
-        out[..., 1] = (P[..., 1] + lam * _h_block(P[..., 2:])) % 1.0
-        out[..., 0] = (P[..., 0] + alpha_f) % 1.0
-        out[..., 2:] = (P[..., 2:] + rotations) % 1.0
-        return out
-
-    def inverse_step_block(P):
-        out = np.array(P, dtype=float)
-        out[..., 0] = (P[..., 0] - alpha_f) % 1.0
-        out[..., 2:] = (P[..., 2:] - rotations) % 1.0
-        out[..., 1] = (P[..., 1] - lam * _h_block(out[..., 2:])) % 1.0
-        return out
-
     def metric_block(P, Q):
         return wrap_dist_block(P[..., :2], Q[..., :2])
 
@@ -153,7 +136,6 @@ def make_furstenberg(alpha, coeffs, lam=1.0) -> FurstenbergSystem:
 
     return FurstenbergSystem(
         name="furstenberg", kind="torus",
-        step_block=step_block, inverse_step_block=inverse_step_block,
         metric_block=metric_block, sample_block=sample_block, orbit=orbit,
         diameter=0.5, flags=flags, make_point=make_point, rotations=rotations,
     )

@@ -170,14 +170,20 @@ def inv(a: GroupElement) -> GroupElement:
 
 
 def power(g: GroupElement, n: int) -> GroupElement:
-    """n-fold product by iterated multiplication; power(g, -n) = inv(power(g, n))."""
+    """n-fold product by square-and-multiply, O(log n) group multiplications;
+    power(g, -n) = inv(power(g, n))."""
     if n < 0:
         return inv(power(g, -n))
-    acc = g.group.identity_coords()
+    grp = g.group
+    acc = grp.identity_coords()
     base = g.coords
-    for _ in range(n):
-        acc = g.group.mul_block(acc, base)
-    return element(g.group, acc)
+    while n:
+        if n & 1:
+            acc = grp.mul_block(acc, base)
+        n >>= 1
+        if n:
+            base = grp.mul_block(base, base)
+    return element(grp, acc)
 
 
 def power_sequence(g: GroupElement, count: int):

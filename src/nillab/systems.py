@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arcs import ArcUnion, cut_midpoints
-from .nilgroup import NilGroup, element, inv, power_sequence
+from .nilgroup import NilGroup, element, inv, power, power_sequence
 from .nilmetric import MetricParams, dist_quotient_block
 
 # nilsystem orbits advance in chunks of this many steps; where the chunks
@@ -75,19 +75,11 @@ def _uniform_sampler(dim):
 
 
 def _translation(alpha):
-    """Step, inverse step and closed-form orbit of the translation by alpha
-    on a torus, as SystemHandle fields."""
-    def step_block(P):
-        return (P + alpha) % 1.0
-
-    def inverse_step_block(P):
-        return (P - alpha) % 1.0
-
+    """Closed-form orbit of the translation by alpha on a torus."""
     def orbit(X, lo, hi):
         return (X + _times(lo, hi, X.ndim) * alpha) % 1.0
 
-    return {"step_block": step_block, "inverse_step_block": inverse_step_block,
-            "orbit": orbit}
+    return orbit
 
 
 def approx_rational(x, max_den=10 ** 4, tol=1e-12):
@@ -105,12 +97,14 @@ def approx_rational(x, max_den=10 ** 4, tol=1e-12):
 
 @dataclass
 class SystemHandle:
-    """A point space with a metric, an invertible transformation and a sampler."""
+    """A point space with a metric, an invertible transformation and a sampler.
+
+    `orbit` is the only dynamics a constructor supplies: the step and the
+    inverse step are its times 1 and -1.
+    """
 
     name: str
     kind: str                      # torus | quotient | symbolic | product
-    step_block: callable
-    inverse_step_block: callable
     metric_block: callable         # rowwise distance of two blocks
     sample_block: callable         # (rng, count) -> block
     orbit: callable                # (X (..., d), lo, hi) -> (hi-lo+1, ..., d)
@@ -123,13 +117,20 @@ class SystemHandle:
     construct_point: callable = None         # [(offset, symbols)] -> point | None
     coding: "CircleCoding" = None            # exact rotation-coded structure
 
-    # -- scalar conveniences --
+    # -- dynamics derived from the orbit, and scalar conveniences --
 
     def step(self, x):
-        return self.step_block(np.asarray(x)[None, :])[0]
+        """T x of a point or a block."""
+        return self.orbit(np.asarray(x), 1, 1)[0]
 
     def inverse_step(self, x):
-        return self.inverse_step_block(np.asarray(x)[None, :])[0]
+        """T^-1 x of a point or a block."""
+        return self.orbit(np.asarray(x), -1, -1)[0]
+
+    # block spellings of the same maps, for callers that use those names
+    # (the tests, perfbench's tracer)
+    step_block = step
+    inverse_step_block = inverse_step
 
     def metric(self, x, y):
         return float(self.metric_block(np.asarray(x)[None, :], np.asarray(y)[None, :])[0])
@@ -186,12 +187,12 @@ class CircleCoding:
     def symbols_block(self, z, offsets):
         """Symbols of the codings of base points z at the given time offsets.
 
-        z: (rows,) circle points; offsets: (cols,) integers.
-        Returns an int8 array (rows, cols).
+        z: (...,) circle points; offsets: (cols,) integers.
+        Returns an int8 array (..., cols).
         """
-        z = np.asarray(z, dtype=float).reshape(-1)
+        z = np.asarray(z, dtype=float)
         offsets = np.asarray(offsets, dtype=float)
-        pos = (z[:, None] + offsets[None, :] * self.alpha) % 1.0
+        pos = (z[..., None] + offsets * self.alpha) % 1.0
         out = np.zeros(pos.shape, dtype=np.int8)
         for sym, arcs in enumerate(self.partition):
             if sym == 0:
@@ -215,7 +216,7 @@ def make_rotation(alpha) -> SystemHandle:
     if m == 1:
         coding = CircleCoding(float(alpha[0]), (ArcUnion.full(),))
     return SystemHandle(
-        name="rotation", kind="torus", **_translation(alpha),
+        name="rotation", kind="torus", orbit=_translation(alpha),
         metric_block=wrap_dist_block, sample_block=_uniform_sampler(m),
         diameter=0.5, grid=_product_grid_hook(m), flags=flags, coding=coding,
     )
@@ -224,18 +225,6 @@ def make_rotation(alpha) -> SystemHandle:
 def make_skew_product(alpha) -> SystemHandle:
     """T(x, y) = (x + alpha, y + x) on the 2-torus; the basic polynomial-orbit map."""
     alpha = float(alpha) % 1.0
-
-    def step_block(P):
-        out = np.empty_like(P)
-        out[..., 0] = (P[..., 0] + alpha) % 1.0
-        out[..., 1] = (P[..., 1] + P[..., 0]) % 1.0
-        return out
-
-    def inverse_step_block(P):
-        out = np.empty_like(P)
-        out[..., 0] = (P[..., 0] - alpha) % 1.0
-        out[..., 1] = (P[..., 1] - out[..., 0]) % 1.0
-        return out
 
     def orbit(X, lo, hi):
         n = _times(lo, hi, X.ndim - 1)
@@ -246,7 +235,6 @@ def make_skew_product(alpha) -> SystemHandle:
 
     return SystemHandle(
         name="skew", kind="torus",
-        step_block=step_block, inverse_step_block=inverse_step_block,
         metric_block=wrap_dist_block, sample_block=_uniform_sampler(2),
         orbit=orbit, diameter=0.5, grid=_product_grid_hook(2),
     )
@@ -270,12 +258,6 @@ def make_nilsystem(group: NilGroup, tau,
     def _reduce(P):
         return group.reduce_block(P)[0]
 
-    def step_block(P):
-        return _reduce(group.mul_block(tau.coords, P))
-
-    def inverse_step_block(P):
-        return _reduce(group.mul_block(tau_inv.coords, P))
-
     def metric_block(P, Q):
         return dist_quotient_block(group, P, Q, metric_params)
 
@@ -285,8 +267,8 @@ def make_nilsystem(group: NilGroup, tau,
         base = np.asarray(X, dtype=float)
         if lo != 0:
             # jump to T^lo x, then advance forward
-            jump = power_sequence(tau if lo > 0 else tau_inv, abs(lo) + 1)
-            base = _reduce(group.mul_block(jump[-1], base))
+            jump = power(tau if lo > 0 else tau_inv, abs(lo))
+            base = _reduce(group.mul_block(jump.coords, base))
         lead = (1,) * (X.ndim - 1)      # the powers broadcast over the block
         filled = 0
         while filled < count:
@@ -294,15 +276,15 @@ def make_nilsystem(group: NilGroup, tau,
             powers = power_sequence(tau, chunk + 1)
             out[filled:filled + chunk] = _reduce(
                 group.mul_block(powers[:chunk].reshape((chunk,) + lead + (m,)), base))
-            base = _reduce(group.mul_block(powers[chunk], base))
             filled += chunk
+            if filled < count:
+                base = _reduce(group.mul_block(powers[chunk], base))
         return out
 
     sample_block = _uniform_sampler(m)
     probe = sample_block(np.random.default_rng(0), 48)
     return SystemHandle(
         name="nilsystem", kind="quotient",
-        step_block=step_block, inverse_step_block=inverse_step_block,
         metric_block=metric_block, sample_block=sample_block, orbit=orbit,
         diameter=float(np.max(metric_block(probe[:, None, :], probe[None, :, :]))),
         grid=_product_grid_hook(m),
@@ -364,7 +346,7 @@ def make_sturmian(alpha, L=16) -> SystemHandle:
         return mids[:, None], True
 
     return SystemHandle(
-        name="sturmian", kind="symbolic", **_translation(alpha),
+        name="sturmian", kind="symbolic", orbit=_translation(alpha),
         metric_block=metric_block, sample_block=_uniform_sampler(1),
         diameter=1.0, grid=grid,
         to_window=to_window, coding=coding, flags=flags,
@@ -401,18 +383,6 @@ def make_fullshift(k, L=8, reserve=128) -> SystemHandle:
     half = L + reserve
     width = 2 * half + 1
     center = half
-
-    def step_block(P):
-        out = np.empty_like(P)
-        out[..., :-1] = P[..., 1:]
-        out[..., -1] = 0
-        return out
-
-    def inverse_step_block(P):
-        out = np.empty_like(P)
-        out[..., 1:] = P[..., :-1]
-        out[..., 0] = 0
-        return out
 
     def metric_block(P, Q):
         lo, hi = center - half, center + half + 1
@@ -473,7 +443,6 @@ def make_fullshift(k, L=8, reserve=128) -> SystemHandle:
 
     return SystemHandle(
         name="fullshift", kind="symbolic",
-        step_block=step_block, inverse_step_block=inverse_step_block,
         metric_block=metric_block, sample_block=sample_block, orbit=orbit,
         diameter=1.0, grid=grid, to_window=to_window, construct_point=construct_point,
     )
@@ -482,16 +451,11 @@ def make_fullshift(k, L=8, reserve=128) -> SystemHandle:
 # -- inverse limits --------------------------------------------------------------
 
 
-@dataclass
-class InverseLimitSystem(SystemHandle):
-    """Inverse-limit tower; points are threads, the levels' points side by side."""
-
-    thread_compatible: callable = None     # (P, tol) -> do the rows project consistently
-
-
 def make_inverse_limit(levels, factor_maps, validation_samples=64, seed=0,
-                       tol=1e-9) -> InverseLimitSystem:
+                       tol=1e-9) -> SystemHandle:
     """Finite tower of systems glued along factor maps, with metric sum 2^-i rho_i.
+
+    Points are threads: the levels' points side by side.
 
     factor_maps[i] sends level-(i+2) point blocks onto level-(i+1) blocks and
     must intertwine the steps within `tol` on sampled points.
@@ -503,8 +467,7 @@ def make_inverse_limit(levels, factor_maps, validation_samples=64, seed=0,
     for i, pi in enumerate(factor_maps):
         upper, lower = levels[i + 1], levels[i]
         X = upper.sample_block(rng, validation_samples)
-        resid = np.max(lower.metric_block(pi(upper.step_block(X)),
-                                          lower.step_block(pi(X))))
+        resid = np.max(lower.metric_block(pi(upper.step(X)), lower.step(pi(X))))
         if resid > tol:
             raise ValueError(
                 "factor map %d is not a semiconjugacy on samples (residual %.3g)"
@@ -517,14 +480,6 @@ def make_inverse_limit(levels, factor_maps, validation_samples=64, seed=0,
 
     def _parts(P):
         return np.split(P, splits, axis=-1)
-
-    def step_block(P):
-        return np.concatenate(
-            [lvl.step_block(part) for lvl, part in zip(levels, _parts(P))], axis=-1)
-
-    def inverse_step_block(P):
-        return np.concatenate(
-            [lvl.inverse_step_block(part) for lvl, part in zip(levels, _parts(P))], axis=-1)
 
     def metric_block(P, Q):
         parts_p, parts_q = _parts(P), _parts(Q)
@@ -551,16 +506,9 @@ def make_inverse_limit(levels, factor_maps, validation_samples=64, seed=0,
         return np.concatenate(
             [lvl.orbit_span(part, lo, hi) for lvl, part in zip(levels, _parts(X))], axis=-1)
 
-    def thread_compatible(P, tol=1e-9):
-        parts = _parts(P)
-        return all(
-            np.max(levels[i].metric_block(factor_maps[i](parts[i + 1]), parts[i])) <= tol
-            for i in range(len(factor_maps))) if factor_maps else True
-
     diam = float(np.dot(weights, [lvl.diameter for lvl in levels]))
-    return InverseLimitSystem(
+    return SystemHandle(
         name="inverse_limit", kind="product",
-        step_block=step_block, inverse_step_block=inverse_step_block,
         metric_block=metric_block, sample_block=sample_block, orbit=orbit,
-        diameter=diam, grid=grid, thread_compatible=thread_compatible,
+        diameter=diam, grid=grid,
     )

@@ -1,7 +1,8 @@
 """Criterion-10 CLI outputs pinned byte for byte against committed copies.
 
-The files under tests/golden/ were written by the same four commands; any
-change to an orbit, grid, net, witness or report format shows up here.
+The files under tests/golden/ were written by the same commands; any change
+to an orbit, grid, net, witness or report format shows up here. heis.csv is
+not a criterion-10 file: it pins the Heisenberg nilsystem nets.
 """
 
 from pathlib import Path
@@ -24,10 +25,14 @@ COMMANDS = [
     (["rp-test", "--system", "skew:alpha=golden", "--x", "0.2/0.1", "--y",
       "0.2/0.7", "--d", "1", "--delta", "0.05", "--n-range", "2000",
       "--seed", "5", "--out-json", "rp.json"], ["rp.json"]),
+    (["complexity", "--system", "heisenberg", "--eps", "0.4", "--grid-divisor", "4",
+      "--n-grid", "1,2", "--out", "heis.csv"], ["heis.csv"]),
 ]
+# test ids: the subcommand, and the system where a subcommand repeats
+IDS = [argv[0] + ("-heisenberg" if "heisenberg" in argv else "") for argv, _ in COMMANDS]
 
 
-@pytest.mark.parametrize("argv,files", COMMANDS, ids=[c[0][0] for c in COMMANDS])
+@pytest.mark.parametrize("argv,files", COMMANDS, ids=IDS)
 def test_cli_outputs_match_golden(tmp_path, monkeypatch, argv, files):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 0

@@ -1,5 +1,7 @@
 """The system zoo: constructor semantics, inverses, metrics, samplers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,20 @@ def test_nilsystem_orbit_matches_stepping():
     assert np.allclose(sys.step(back[4]), x, atol=1e-12)
 
 
+def test_nilsystem_long_jump_memory():
+    # a jump by n takes O(log n) group multiplications, not all n powers
+    sys = make_nilsystem(heisenberg3(), [GOLDEN, np.sqrt(2) / 2, 0.0])
+    x = np.array([0.1, 0.2, 0.3])
+    tracemalloc.start()
+    try:
+        far = sys.orbit_span(x, 2_000_000, 2_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert far.shape == (1, 3) and np.all((far >= 0.0) & (far < 1.0))
+    assert peak <= 16 * 2 ** 20
+
+
 def test_sturmian_code_examples():
     w = sturmian_code(GOLDEN, 0.0, 5)
     assert isinstance(w, SymbolicWindow)
@@ -127,6 +143,15 @@ def test_sturmian_system_metric_and_windows():
     z2 = np.array([0.2 + 1e-9])
     assert sys.metric(z, z2) <= 1.0
     assert sys.metric(z, z) == 0.0
+
+
+def test_sturmian_metric_keeps_block_shape():
+    sys = make_sturmian(GOLDEN, L=10)
+    P = sample_points(sys, 6, seed=0).reshape((2, 3, 1))
+    Q = sample_points(sys, 6, seed=1).reshape((2, 3, 1))
+    d = sys.metric_block(P, Q)
+    assert d.shape == (2, 3)
+    assert np.array_equal(d.reshape(-1), sys.metric_block(P.reshape(6, 1), Q.reshape(6, 1)))
 
 
 def test_sturmian_rational_flagged():
@@ -192,9 +217,14 @@ def test_inverse_limit_tower_rotation_skew():
     skew = make_skew_product(GOLDEN)
     tower = make_inverse_limit([rot, skew], [lambda P: P[..., :1]])
     pts = sample_points(tower, 32, seed=5)
-    assert tower.thread_compatible(pts, tol=1e-12)
+
+    def thread_gap(P):
+        # the skew level's first coordinate must project onto the rotation level
+        return np.max(rot.metric_block(P[..., 1:2], P[..., :1]))
+
+    assert thread_gap(pts) <= 1e-12
     orbit = tower.orbit_block(pts[0], 25)
-    assert tower.thread_compatible(orbit, tol=1e-9)
+    assert thread_gap(orbit) <= 1e-9
 
 
 def test_approx_rational():
