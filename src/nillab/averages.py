@@ -15,6 +15,9 @@ import numpy as np
 
 from .systems import SystemHandle
 
+# orbit steps per block of a Birkhoff pass
+ORBIT_BLOCK = 65536
+
 
 @dataclass
 class AverageTrace:
@@ -40,11 +43,11 @@ def geometric_grid(n_max):
     return grid
 
 
-def birkhoff(sys: SystemHandle, f, x, n_grid=None, n_max=None, chunk=65536,
+def birkhoff(sys: SystemHandle, f, x, n_grid=None, n_max=None,
              observable_id="f") -> AverageTrace:
     """Partial averages (1/N) sum_{i<N} f(T^i x) at each N in the grid.
 
-    One orbit pass in blocks; the telescoping identity
+    One orbit pass in blocks of ORBIT_BLOCK steps; the telescoping identity
     (N+1) A_{N+1} - N A_N = f(T^N x) holds by construction.
     """
     if n_grid is None:
@@ -62,7 +65,7 @@ def birkhoff(sys: SystemHandle, f, x, n_grid=None, n_max=None, chunk=65536,
     next_mark = next(grid_iter)
     current = np.asarray(x)
     while done < top:
-        count = min(chunk, top - done)
+        count = min(ORBIT_BLOCK, top - done)
         block = sys.orbit_block(current, count + 1)
         vals = np.asarray(f(block[:count]), dtype=float)
         csum = np.cumsum(vals)

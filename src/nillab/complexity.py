@@ -19,6 +19,11 @@ from .budgets import DEFAULT_BUDGET, SearchBudget
 from .systems import GridError, SystemHandle
 from .targets import Ball, CylinderUnion  # re-exported: the cover sets
 
+# random row pairs an exact grid is spot-checked on
+CROSSCHECK_PAIRS = 128
+# sampled points a cover is validated and its Lebesgue number estimated on
+COVER_SAMPLES = 512
+
 
 @dataclass
 class Cover:
@@ -28,29 +33,27 @@ class Cover:
     sets: list
     lebesgue_delta: float | None = None
 
-    def membership(self, sys: SystemHandle, P):
-        """Bool array (len(P), len(sets))."""
-        return self.depth(sys, P) > 0
-
     def depth(self, sys: SystemHandle, P):
         """Containment depth per set: how far inside each set each point sits."""
         return np.stack([s.depth(sys, P) for s in self.sets], axis=1)
 
-    def validate(self, sys: SystemHandle, samples=512, seed=0):
-        rng = np.random.default_rng(seed)
-        P = sys.sample_block(rng, samples)
-        member = self.membership(sys, P)
-        uncovered = int(np.sum(~member.any(axis=1)))
+    def _deepest(self, sys: SystemHandle):
+        """Deepest containment of each of COVER_SAMPLES points (seed 0);
+        a point is covered iff it is positive."""
+        P = sys.sample_block(np.random.default_rng(0), COVER_SAMPLES)
+        return np.max(self.depth(sys, P), axis=1)
+
+    def validate(self, sys: SystemHandle):
+        uncovered = int(np.sum(self._deepest(sys) <= 0))
         if uncovered:
-            raise ValueError("%d of %d sampled points not covered" % (uncovered, samples))
+            raise ValueError("%d of %d sampled points not covered"
+                             % (uncovered, COVER_SAMPLES))
         return True
 
-    def estimate_lebesgue(self, sys: SystemHandle, samples=512, seed=0):
+    def estimate_lebesgue(self, sys: SystemHandle):
         """Min over sampled points of the deepest containment: any smaller ball
         around any point fits inside some cover set."""
-        rng = np.random.default_rng(seed)
-        P = sys.sample_block(rng, samples)
-        return float(np.min(np.max(self.depth(sys, P), axis=1)))
+        return float(np.min(self._deepest(sys)))
 
 
 @dataclass
@@ -60,7 +63,6 @@ class ComplexityCurve:
     epsilon: float
     records: list = field(default_factory=list)   # dicts: n, r, net_size, grid
     fit: dict | None = None
-    meta: dict = field(default_factory=dict)
 
     def ns(self):
         return np.array([rec["n"] for rec in self.records])
@@ -88,7 +90,7 @@ def _grid(sys, n, eps, budget):
 
 
 def shadowing_net(sys: SystemHandle, n, epsilon, budget: SearchBudget = DEFAULT_BUDGET,
-                  grid=None, revalidate=True):
+                  grid=None):
     """Greedy (n, epsilon)-shadowing net over a grid of the space.
 
     First-fit greedy: walk the grid in fixed order, adding any point not yet
@@ -125,12 +127,11 @@ def shadowing_net(sys: SystemHandle, n, epsilon, budget: SearchBudget = DEFAULT_
         assigned[cand] = i
         assigned[i] = i
 
-    if revalidate:
-        for t in time_order:
-            d = sys.metric_block(orbits[t], orbits[t][assigned])
-            if np.any(d > epsilon + 1e-12):
-                raise RuntimeError("net failed post-hoc shadowing validation: "
-                                   "program error")
+    for t in time_order:
+        d = sys.metric_block(orbits[t], orbits[t][assigned])
+        if np.any(d > epsilon + 1e-12):
+            raise RuntimeError("net failed post-hoc shadowing validation: "
+                               "program error")
     return {"net_indices": np.array(net), "net_points": grid[np.array(net)],
             "assigned": assigned, "grid_size": G, "r_estimate": len(net),
             "n": n, "epsilon": epsilon}
@@ -147,14 +148,15 @@ def _whole_grid_net(sys, grid, n, epsilon, seed):
             "n": n, "epsilon": epsilon}
 
 
-def _crosscheck_exact_grid(sys, grid, n, epsilon, seed, pairs=128):
-    """Spot-check that distinct exact-grid rows indeed fail to shadow each other."""
+def _crosscheck_exact_grid(sys, grid, n, epsilon, seed):
+    """Spot-check, on CROSSCHECK_PAIRS random row pairs, that distinct
+    exact-grid rows indeed fail to shadow each other."""
     G = len(grid)
     if G < 2:
         return
     rng = np.random.default_rng(seed)
-    i = rng.integers(0, G, size=pairs)
-    j = rng.integers(0, G, size=pairs)
+    i = rng.integers(0, G, size=CROSSCHECK_PAIRS)
+    j = rng.integers(0, G, size=CROSSCHECK_PAIRS)
     keep = i != j
     orbits = sys.orbit_span(np.stack([grid[i[keep]], grid[j[keep]]]), 0, n)
     worst = np.full(orbits.shape[2], -np.inf)
@@ -170,8 +172,7 @@ def complexity_curve(sys: SystemHandle, epsilon, n_values,
                      classify=True) -> ComplexityCurve:
     """r(n, epsilon) estimates over an n-grid, on one shared grid per horizon."""
     n_values = sorted(set(int(n) for n in n_values))
-    curve = ComplexityCurve(epsilon=epsilon,
-                            meta={"system": sys.name, "budget_seed": budget.seed})
+    curve = ComplexityCurve(epsilon=epsilon)
     top = max(n_values)
     grid, exact = _grid(sys, top, epsilon, budget)
     for n in n_values:
@@ -315,9 +316,7 @@ def inverse_limit_complexity_bound(level_curves, epsilon) -> ComplexityCurve:
     common = sorted(set.intersection(*[set(c.ns().tolist()) for c in level_curves]))
     if not common:
         raise ValueError("level curves share no n values")
-    bound = ComplexityCurve(epsilon=epsilon,
-                            meta={"kind": "inverse-limit product bound",
-                                  "delta": delta, "levels": N})
+    bound = ComplexityCurve(epsilon=epsilon)
     for n in common:
         prod = 1
         for c in level_curves:

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budgets import DEFAULT_BUDGET, SearchBudget
-from .systems import SystemHandle, symbol_resolution
+from .systems import SystemHandle
+from .targets import Ball
 
 
 def vertex_set(d):
@@ -98,28 +99,43 @@ class RPWitness:
     achieved_delta: float
 
 
-def _spiral_order(N, d, max_cells=None):
-    """Exponent vectors of [-N, N]^d ordered by sup-norm shell, then lexicographically.
-
-    Returns an (S, d) int array. If the box exceeds max_cells the radius is
-    shrunk so small witnesses are still scanned first.
+def _spiral_index(budget, d, verts):
+    """(spiral, span, idx): the exponent vectors of [-N, N]^d ordered by
+    sup-norm shell, then lexicographically, with N = n_range shrunk until the
+    box fits max_cells; and idx[s, v] = spiral[s].verts[v] + span, the row of
+    vertex v under the s-th vector in an orbit over [-span, span].
     """
-    if max_cells is not None:
-        while N > 1 and (2 * N + 1) ** d > max_cells:
-            N = int(((max_cells ** (1.0 / d)) - 1) // 2)
-    axes = [np.arange(-N, N + 1)] * d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    vecs = np.stack([m.ravel() for m in mesh], axis=1)
-    shell = np.max(np.abs(vecs), axis=1)
-    order = np.lexsort(tuple(vecs[:, i] for i in range(d - 1, -1, -1)) + (shell,))
-    return vecs[order]
+    N = budget.n_range
+    while N > 1 and (2 * N + 1) ** d > budget.max_cells:
+        N = int(((budget.max_cells ** (1.0 / d)) - 1) // 2)
+    # the box comes out in lexicographic order, and a stable sort by shell
+    # keeps that order within each shell
+    vecs = np.indices((2 * N + 1,) * d).reshape(d, -1).T - N
+    spiral = vecs[np.argsort(np.max(np.abs(vecs), axis=1), kind="stable")]
+    span = int(np.max(np.abs(spiral))) * d
+    return spiral, span, spiral @ np.array(verts).T + span
 
 
-def _candidate_pool(sys, x, delta, budget, rng, cap=64):
+def _first_hit(rows, idx):
+    """First spiral index s with rows[v][idx[s, v]] true for every column v
+    of idx, or None; rows holds one boolean orbit row per column."""
+    ok = rows[0][idx[:, 0]]
+    for v in range(1, idx.shape[1]):
+        if not ok.any():
+            return None
+        ok &= rows[v][idx[:, v]]
+    return int(np.argmax(ok)) if ok.any() else None
+
+
+# points of the delta-ball a candidate pool keeps, to keep pair scans affordable
+POOL_CAP = 64
+
+
+def _candidate_pool(sys, x, delta, budget, rng):
     """Orbit points of x plus sampled points, filtered to the delta-ball at x.
 
     Deterministic: orbit points in exponent-spiral order first, then sampler
-    points in draw order; capped to keep pair scans affordable.
+    points in draw order; capped at POOL_CAP.
     """
     half = budget.max_candidates // 2
     orbit = sys.orbit_span(np.asarray(x), -half, half)
@@ -129,7 +145,7 @@ def _candidate_pool(sys, x, delta, budget, rng, cap=64):
     for i, p in enumerate(pool):
         if sys.metric(p, x) < delta:
             keep.append(i)
-            if len(keep) >= cap:
+            if len(keep) >= POOL_CAP:
                 break
     return pool[keep]
 
@@ -149,49 +165,44 @@ def rp_test(sys: SystemHandle, x, y, d, delta, budget: SearchBudget = DEFAULT_BU
     nonempty = [eps for eps in vertex_set(d) if any(eps)]
 
     if sys.metric(x, y) < delta:
-        w = RPWitness(tuple(np.ravel(x).tolist()), tuple(np.ravel(y).tolist()),
-                      (0,) * d, validate_rp_witness(sys, x, y, x, y, (0,) * d))
-        return w
+        return RPWitness(tuple(np.ravel(x).tolist()), tuple(np.ravel(y).tolist()),
+                         (0,) * d, validate_rp_witness(sys, x, y, x, y, (0,) * d))
 
     cand_x = _candidate_pool(sys, x, delta, budget, rng)
     cand_y = _candidate_pool(sys, y, delta, budget, rng)
-    spiral = _spiral_order(budget.n_range, d, budget.max_cells)
-    span = int(np.max(np.abs(spiral))) * d if len(spiral) else 0
-    stats = {"pairs": 0, "n_values": len(spiral)}
+    spiral, span, idx = _spiral_index(budget, d, nonempty)
 
     # one orbit per candidate, candidates first: (candidates, 2*span+1, dim)
     orbits_x = np.ascontiguousarray(np.swapaxes(sys.orbit_span(cand_x, -span, span), 0, 1))
     orbits_y = np.ascontiguousarray(np.swapaxes(sys.orbit_span(cand_y, -span, span), 0, 1))
-    eps_mat = np.array(nonempty)                           # (E, d)
-    idx = spiral @ eps_mat.T + span                        # (S, E)
 
+    # the first x candidate with a hit decides; among its y candidates the
+    # witness first in spiral order wins, and every hit is re-validated
     best = None
     for ix, ox in enumerate(orbits_x):
         for iy, oy in enumerate(orbits_y):
-            stats["pairs"] += 1
             close = sys.metric_block(ox, oy) < delta       # (2*span+1,)
-            hits = np.all(close[idx], axis=1)
-            if np.any(hits):
-                s = int(np.argmax(hits))                   # first in spiral order
-                n_vec = tuple(int(v) for v in spiral[s])
-                ach = validate_rp_witness(sys, x, y, cand_x[ix], cand_y[iy], n_vec,
-                                          delta=delta)
-                cand = RPWitness(tuple(np.ravel(cand_x[ix]).tolist()),
-                                 tuple(np.ravel(cand_y[iy]).tolist()),
-                                 n_vec, ach)
-                if best is None or _spiral_rank(cand.n) < _spiral_rank(best.n):
-                    best = cand
+            s = _first_hit([close] * len(nonempty), idx)
+            if s is None:
+                continue
+            n_vec = tuple(int(v) for v in spiral[s])
+            ach = validate_rp_witness(sys, x, y, cand_x[ix], cand_y[iy], n_vec,
+                                      delta=delta)
+            if best is None or s < best[0]:
+                best = (s, RPWitness(tuple(np.ravel(cand_x[ix]).tolist()),
+                                     tuple(np.ravel(cand_y[iy]).tolist()), n_vec, ach))
         if best is not None:
-            break
-    if best is not None:
-        return best
+            return best[1]
     return {"status": "budget-exhausted", "found": False,
-            "pairs_checked": stats["pairs"], "n_values": stats["n_values"],
+            "pairs_checked": len(cand_x) * len(cand_y), "n_values": len(spiral),
             "note": "no witness at this budget; search cannot certify non-membership"}
 
 
-def _spiral_rank(n_vec):
-    return (max(abs(c) for c in n_vec), n_vec)
+def _cube_gap(sys, z, n_vec, refs):
+    """Largest distance from a vertex T^{n.eps} z of the cube to refs[eps],
+    over the vertices eps that refs names."""
+    cube = sample_cube(sys, z, n_vec)
+    return float(max(sys.metric(cube.point(eps), p) for eps, p in refs.items()))
 
 
 def validate_rp_witness(sys, x, y, x_approx, y_approx, n_vec, delta=None):
@@ -200,14 +211,11 @@ def validate_rp_witness(sys, x, y, x_approx, y_approx, n_vec, delta=None):
     Returns the achieved delta (max over the approximation distances and the
     nonempty-vertex collapses); raises if a claimed witness fails its bound.
     """
-    d = len(n_vec)
-    vals = [sys.metric(x, np.asarray(x_approx)), sys.metric(y, np.asarray(y_approx))]
-    cx = sample_cube(sys, x_approx, n_vec)
     cy = sample_cube(sys, y_approx, n_vec)
-    for eps in vertex_set(d):
-        if any(eps):
-            vals.append(sys.metric(cx.point(eps), cy.point(eps)))
-    achieved = float(max(vals))
+    collapse = _cube_gap(sys, x_approx, n_vec,
+                         {eps: p for eps, p in cy.points.items() if any(eps)})
+    achieved = max(sys.metric(x, np.asarray(x_approx)),
+                   sys.metric(y, np.asarray(y_approx)), collapse)
     if delta is not None and achieved >= delta:
         raise RuntimeError(
             "witness failed re-validation (achieved %.3g >= delta %.3g): program error"
@@ -222,7 +230,8 @@ def cube_criterion(sys: SystemHandle, x1, x2, d, delta,
     For each pattern s: {0,1}^d -> {1, 2} the search looks for a base point z
     and exponents n with T^{n.eps} z within delta of x_{s(eps)} for every
     vertex. Symbolic systems that can assemble points from symbol constraints
-    get constructive witnesses; everything else is a sampler/orbit scan.
+    get constructive witnesses from the symbol runs of the two delta-balls;
+    every other pattern goes to a sampler/orbit scan.
     """
     if d > 3:
         raise ValueError("pattern enumeration is 2^(2^d); d <= 3 is the supported budget")
@@ -233,23 +242,25 @@ def cube_criterion(sys: SystemHandle, x1, x2, d, delta,
     patterns = list(itertools.product((1, 2), repeat=len(verts)))
     results = {}
 
-    searcher = _ConstructiveCubeSearch(sys, x1, x2, delta) \
-        if sys.construct_point is not None else None
+    balls = {1: Ball(x1, delta), 2: Ball(x2, delta)}
+    runs = None
+    if sys.construct_point is not None:
+        runs = {which: ball.run() for which, ball in balls.items()}
     scan = None
 
     for pat in patterns:
         assignment = dict(zip(verts, pat))
-        witness = searcher.find(assignment) if searcher is not None else None
+        witness = _construct_pattern(sys, runs, assignment) if runs is not None else None
         if witness is None:
             if scan is None:
-                scan = _ScanCubeSearch(sys, x1, x2, d, delta, budget)
-            witness = scan.find(assignment)
+                scan = _cube_scan(sys, balls, d, budget)
+            witness = scan(assignment)
         key = "".join(str(s) for s in pat)
         if witness is None:
             results[key] = {"realized": False, "status": "budget-exhausted"}
         else:
             z, n_vec = witness
-            ach = _validate_pattern(sys, x1, x2, assignment, z, n_vec, delta)
+            ach = _validate_pattern(sys, balls, assignment, z, n_vec, delta)
             results[key] = {"realized": True, "n": list(n_vec),
                             "achieved_delta": ach,
                             "base_point": np.ravel(z).tolist()}
@@ -259,92 +270,57 @@ def cube_criterion(sys: SystemHandle, x1, x2, d, delta,
             "failures": [k for k, r in results.items() if not r["realized"]],
             "budget": {"n_range": budget.n_range, "seed": budget.seed,
                        "max_candidates": budget.max_candidates,
-                       "constructive": searcher is not None},
+                       "constructive": runs is not None},
             "verdict": "all patterns realized" if realized == len(patterns)
                        else "%d of %d patterns not realized within budget"
                             % (len(patterns) - realized, len(patterns))}
 
 
-def _validate_pattern(sys, x1, x2, assignment, z, n_vec, delta):
-    cube = sample_cube(sys, z, n_vec)
-    targets = {1: x1, 2: x2}
-    vals = [sys.metric(cube.point(eps), targets[which])
-            for eps, which in assignment.items()]
-    achieved = float(max(vals))
+def _validate_pattern(sys, balls, assignment, z, n_vec, delta):
+    achieved = _cube_gap(sys, z, n_vec,
+                         {eps: balls[which].center for eps, which in assignment.items()})
     if achieved >= delta:
         raise RuntimeError("pattern witness failed re-validation: program error")
     return achieved
 
 
-class _ConstructiveCubeSearch:
-    """Assemble a base point from symbol constraints (full-shift style systems)."""
-
-    def __init__(self, sys, x1, x2, delta):
-        self.sys = sys
-        self.delta = delta
-        w = symbol_resolution(delta)
-        self.radius = w - 1 if w >= 1 else 0
-        windows = {}
-        for which, x in ((1, x1), (2, x2)):
-            win = sys.to_window(x)
-            c = win.half_length
-            lo, hi = c - self.radius, c + self.radius + 1
-            windows[which] = np.array(win.word[lo:hi], dtype=np.int8)
-        self.windows = windows
-
-    def find(self, assignment):
-        sep = 2 * self.radius + 2
-        d = len(next(iter(assignment)))
-        n_vec = tuple(sep * (2 ** i) for i in range(d))
-        constraints = []
-        for eps, which in assignment.items():
-            off = sum(ni * ei for ni, ei in zip(n_vec, eps))
-            constraints.append((off - self.radius, self.windows[which]))
-        z = self.sys.construct_point(constraints)
-        if z is None:
-            return None
-        return z, n_vec
+def _construct_pattern(sys, runs, assignment):
+    """(z, n): z holds the run of ball s(eps) at each vertex offset n.eps, with
+    n_i = sep * 2^i and sep one past the longest run, so the offsets are
+    distinct multiples of sep and no runs overlap; None if a run leaves z."""
+    sep = max(len(symbols) for _, symbols in runs.values()) + 1
+    n_vec = tuple(sep * 2 ** i for i in range(len(next(iter(assignment)))))
+    z = sys.construct_point([
+        (sum(n * e for n, e in zip(n_vec, eps)) + runs[which][0], runs[which][1])
+        for eps, which in assignment.items()])
+    return None if z is None else (z, n_vec)
 
 
-class _ScanCubeSearch:
-    """Sampler/orbit scan over base points and an exponent spiral."""
+def _cube_scan(sys, balls, d, budget):
+    """Sampler/orbit scan over base points and the exponent spiral: returns
+    find(assignment) -> (z, n_vec) or None, the first base point in pool
+    order with a spiral vector that puts each vertex in its ball."""
+    rng = np.random.default_rng(budget.seed)
+    half = max(budget.max_candidates // 8, 8)
+    pool = [sys.orbit_span(np.asarray(b.center), -half, half) for b in balls.values()]
+    pool.append(sys.sample_block(rng, budget.max_candidates))
+    zs = np.concatenate([np.asarray(p, dtype=pool[0].dtype) for p in pool])
+    zs = zs[:budget.max_candidates]
+    verts = vertex_set(d)
+    spiral, span, idx = _spiral_index(budget, d, verts)
+    # near[which][z]: is T^t z in ball `which`, t over [-span, span]; one z at
+    # a time, as a block orbit of every z would hold all their orbits at once
+    near = {1: [], 2: []}
+    for z in zs:
+        orbit = sys.orbit_span(z, -span, span)
+        for which, ball in balls.items():
+            near[which].append(ball.depth(sys, orbit) > 0)
 
-    def __init__(self, sys, x1, x2, d, delta, budget):
-        self.sys = sys
-        self.delta = delta
-        self.d = d
-        rng = np.random.default_rng(budget.seed)
-        half = max(budget.max_candidates // 8, 8)
-        pool = [sys.orbit_span(x1, -half, half), sys.orbit_span(x2, -half, half),
-                sys.sample_block(rng, budget.max_candidates)]
-        self.zs = np.concatenate([np.asarray(p, dtype=pool[0].dtype) for p in pool])
-        if len(self.zs) > budget.max_candidates:
-            self.zs = self.zs[:budget.max_candidates]
-        self.spiral = _spiral_order(budget.n_range, d, budget.max_cells)
-        self.span = int(np.max(np.abs(self.spiral))) * d if len(self.spiral) else 0
-        verts = vertex_set(d)
-        self.verts = verts
-        self.idx = self.spiral @ np.array(verts).T + self.span
-        # near[which][z, t]: is T^t z within delta of x_which
-        rows1, rows2 = [], []
-        for z in self.zs:
-            orbit = sys.orbit_span(z, -self.span, self.span)
-            rows1.append(sys.metric_block(
-                orbit, np.broadcast_to(np.asarray(x1), orbit.shape)) < delta)
-            rows2.append(sys.metric_block(
-                orbit, np.broadcast_to(np.asarray(x2), orbit.shape)) < delta)
-        self.near = {1: np.array(rows1), 2: np.array(rows2)}
-
-    def find(self, assignment):
-        ok_any = None
-        for zi in range(len(self.zs)):
-            ok = np.ones(len(self.spiral), dtype=bool)
-            for vi, eps in enumerate(self.verts):
-                which = assignment[eps]
-                ok &= self.near[which][zi][self.idx[:, vi]]
-                if not ok.any():
-                    break
-            if ok.any():
-                s = int(np.argmax(ok))
-                return self.zs[zi], tuple(int(v) for v in self.spiral[s])
+    def find(assignment):
+        for zi, z in enumerate(zs):
+            s = _first_hit([near[assignment[eps]][zi] for eps in verts], idx)
+            if s is not None:
+                return z, tuple(int(v) for v in spiral[s])
         return None
+
+    return find

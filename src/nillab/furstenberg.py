@@ -98,9 +98,8 @@ def make_furstenberg(alpha, coeffs, lam=1.0) -> FurstenbergSystem:
     if any(int(k) < 1 for _, k in coeffs):
         raise ValueError("series indices k must be >= 1")
     freqs, weights, rotations = _harmonics(alpha, coeffs)
-    K = len(freqs)
     lam = float(lam)
-    flags = ("empty-coefficients: plain product rotation",) if K == 0 else ()
+    flags = () if freqs else ("empty-coefficients: plain product rotation",)
 
     def metric_block(P, Q):
         return wrap_dist_block(P[..., :2], Q[..., :2])
@@ -109,25 +108,20 @@ def make_furstenberg(alpha, coeffs, lam=1.0) -> FurstenbergSystem:
         thetas = rng.uniform(0.0, 1.0, size=(count, 2))
         return np.stack([make_point(t1, t2) for t1, t2 in thetas])
 
-    def orbit(x, lo, hi):
-        if x.ndim > 1:
-            # one point at a time: summing the harmonics of a whole block at
-            # once would round differently
-            out = np.empty((hi - lo + 1,) + x.shape)
-            for i, p in enumerate(x):
-                out[:, i] = orbit(p, lo, hi)
-            return out
+    def H(phases):
+        # row-wise einsum over C-ordered rows: a row's bits do not depend on
+        # the block it sits in (a matrix product would round per block size)
+        cosines = np.ascontiguousarray(np.cos(TWO_PI * phases))
+        return np.einsum("...k,k->...", cosines, weights)
+
+    def orbit(X, lo, hi):
         # fiber telescopes: theta2(n) = theta2 + lam * (H(phases_n) - H(phases_0))
-        n = np.arange(lo, hi + 1, dtype=float)
-        out = np.empty((n.size, 2 + K))
-        out[:, 0] = (x[0] + n * alpha_f) % 1.0
-        out[:, 2:] = (x[2:] + n[:, None] * rotations) % 1.0
-        if K:
-            H = np.cos(TWO_PI * out[:, 2:]) @ weights
-            H0 = float(np.cos(TWO_PI * np.asarray(x[2:])) @ weights)
-            out[:, 1] = (x[1] + lam * (H - H0)) % 1.0
-        else:
-            out[:, 1] = x[1] % 1.0
+        n = np.arange(lo, hi + 1, dtype=float).reshape((-1,) + (1,) * (X.ndim - 1))
+        out = np.empty((len(n),) + X.shape)
+        out[..., 0] = (X[..., 0] + n * alpha_f) % 1.0
+        out[..., 2:] = (X[..., 2:] + n[..., None] * rotations) % 1.0
+        # without harmonics both sums are 0 and the fiber stays put
+        out[..., 1] = (X[..., 1] + lam * (H(out[..., 2:]) - H(X[..., 2:]))) % 1.0
         return out
 
     def make_point(theta1, theta2):

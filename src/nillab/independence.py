@@ -14,10 +14,13 @@ Exactness regimes:
    pairwise compatibility of shifted constraints, exact for any |F|;
  * metric systems: sampled witness search - verified True is certified by
    witnesses, False only means the budget found nothing.
+Each target supplies its own exact forms (`arcs` and `run`, see
+nillab.targets); a route applies when every target of the tuple has its form.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -25,8 +28,8 @@ import numpy as np
 
 from .arcs import ArcUnion, cut_midpoints
 from .budgets import DEFAULT_BUDGET, SearchBudget
-from .systems import SystemHandle, symbol_resolution, approx_rational, sturmian_coding
-from .targets import Ball, Cylinder
+from .systems import SystemHandle, approx_rational, sturmian_coding
+from .targets import Ball, Cylinder  # re-exported: the target kinds
 
 
 @dataclass(frozen=True)
@@ -79,73 +82,31 @@ class IndependenceReport:
     note: str = ""
 
 
-# -- converting targets into exact primitives --------------------------------
-
-
-def _target_arcs(sys: SystemHandle, target) -> ArcUnion:
-    """Target as an arc union on the coding circle; None when not expressible."""
-    coding = sys.coding
-    if coding is None:
-        return None
-    if isinstance(target, Cylinder):
-        arcs = ArcUnion.full()
-        for i, sym in enumerate(target.word):
-            base = coding.partition[int(sym)]
-            arcs = arcs.intersect(base.shift(-(target.anchor + i) * coding.alpha))
-        return arcs
-    if isinstance(target, Ball):
-        center = np.ravel(np.asarray(target.center, dtype=float))
-        if len(coding.partition) == 1:
-            # plain circle rotation: metric balls are arcs
-            c = float(center[0])
-            return ArcUnion.interval(c - target.radius, c + target.radius)
-        # coded system: the ball is the cylinder of the center's window
-        w = symbol_resolution(target.radius)
-        word = coding.symbols_block(center[:1], np.arange(-(w - 1), w))[0]
-        return _target_arcs(sys, Cylinder(tuple(int(s) for s in word), -(w - 1)))
-    return None
-
-
-def _targets_partition(arc_sets, tol=1e-9):
-    total = sum(a.measure() for a in arc_sets)
-    if abs(total - 1.0) > tol:
-        return False
-    for a, b in itertools.combinations(arc_sets, 2):
-        if a.intersect(b).measure() > tol:
-            return False
-    return True
-
-
-def _fullshift_constraints(sys: SystemHandle, target):
-    """Target as (offset, symbols) for constraint-assembled shift points."""
-    if sys.construct_point is None:
-        return None
-    if isinstance(target, Cylinder):
-        return (int(target.anchor), np.asarray(target.word, dtype=np.int8))
-    if isinstance(target, Ball):
-        win = sys.to_window(np.asarray(target.center))
-        w = symbol_resolution(target.radius)
-        c = win.half_length
-        r = min(w - 1, c)
-        return (-r, np.array(win.word[c - r:c + r + 1], dtype=np.int8))
-    return None
-
-
 # -- the checker ---------------------------------------------------------------
 
 
-def _exact_context(sys: SystemHandle, sets: SetTuple):
-    """Precomputed exact-route data for a (system, targets) pair, or None."""
-    arcs = [_target_arcs(sys, t) for t in sets.targets]
-    if all(a is not None for a in arcs):
-        if _targets_partition(arcs):
-            boundaries = sorted({b for a in arcs for b in a.boundaries()})
-            return {"route": "partition", "arcs": arcs, "boundaries": boundaries}
-        return {"route": "arcs", "arcs": arcs}
-    cons = [_fullshift_constraints(sys, t) for t in sets.targets]
-    if all(c is not None for c in cons):
-        return {"route": "constraints", "cons": cons}
-    return None
+def _targets_partition(arc_sets, tol=1e-9):
+    if abs(sum(a.measure() for a in arc_sets) - 1.0) > tol:
+        return False
+    return all(a.intersect(b).measure() <= tol
+               for a, b in itertools.combinations(arc_sets, 2))
+
+
+def _route_context(sys: SystemHandle, sets: SetTuple):
+    """Precomputed route data for a (system, targets) pair: the first exact
+    route whose form every target has, else the sampled route."""
+    if sys.coding is not None:
+        arcs = [t.arcs(sys.coding) for t in sets.targets]
+        if all(a is not None for a in arcs):
+            if _targets_partition(arcs):
+                boundaries = sorted({b for a in arcs for b in a.boundaries()})
+                return {"route": "partition", "arcs": arcs, "boundaries": boundaries}
+            return {"route": "arcs", "arcs": arcs}
+    if sys.construct_point is not None:
+        cons = [t.run() for t in sets.targets]
+        if all(c is not None for c in cons):
+            return {"route": "constraints", "cons": cons}
+    return {"route": "sampled"}
 
 
 def check_independence(sys: SystemHandle, sets: SetTuple, F,
@@ -158,21 +119,42 @@ def check_independence(sys: SystemHandle, sets: SetTuple, F,
     k = sets.k
     n_patterns = k ** len(F)
 
-    ctx = _exact_context(sys, sets) if _ctx is None else _ctx
-    if ctx is not None and ctx["route"] == "partition":
+    ctx = _route_context(sys, sets) if _ctx is None else _ctx
+    route = ctx["route"]
+    if route == "partition":
         return _check_exact_partition(sys, ctx["arcs"], F, n_patterns,
                                       boundaries=ctx["boundaries"])
-    if ctx is not None and ctx["route"] == "arcs":
-        if n_patterns <= budget.max_cells:
-            return _check_exact_arcs(sys, ctx["arcs"], F, k)
-        raise ValueError("pattern count %d overflows the budget for the "
-                         "non-partition arc route" % n_patterns)
-    if ctx is not None and ctx["route"] == "constraints":
-        return _check_exact_constraints(sys, ctx["cons"], F, k, budget)
-
+    if route == "constraints":
+        return _check_exact_constraints(sys, ctx["cons"], F, k)
     if n_patterns > budget.max_cells:
-        raise ValueError("pattern count %d overflows the budget" % n_patterns)
-    return _check_sampled(sys, sets, F, k, budget)
+        raise ValueError("pattern count %d overflows the budget%s" % (
+            n_patterns, " for the non-partition arc route" if route == "arcs" else ""))
+    if route == "arcs":
+        return _pattern_report(F, k, _arc_witness(sys, ctx["arcs"], F, k), exact=True,
+                               note="arc-intersection emptiness is exact")
+    return _pattern_report(F, k, _sampled_witness(sys, sets, F, k, budget), exact=False,
+                           note="unrealized patterns are budget-exhausted, not refuted")
+
+
+def _pattern_report(F, k, witness, exact, note):
+    """Report of a search over all k^|F| patterns, one at a time:
+    `witness(pattern)` returns a point realizing the pattern, or None. The
+    first 512 witnesses are kept; an exact route's note states its
+    certificate, a sampled route's note only qualifies its failures."""
+    witnesses, failures = {}, []
+    count = 0
+    for pat in itertools.product(range(1, k + 1), repeat=len(F)):
+        count += 1
+        z = witness(pat)
+        if z is None:
+            failures.append(pat)
+        elif len(witnesses) < 512:
+            witnesses[pat] = z
+    return IndependenceReport(
+        F=F, verified=not failures, method="exact-language" if exact else "sampled",
+        exact=exact, witnesses=witnesses, patterns_checked=count,
+        realized_patterns=count - len(failures), failures=failures,
+        note=note if exact or failures else "")
 
 
 def _check_exact_partition(sys, arcs, F, n_patterns, boundaries):
@@ -197,13 +179,10 @@ def _check_exact_partition(sys, arcs, F, n_patterns, boundaries):
     cuts = [b - j * alpha for j in F for b in boundaries]
     mids = cut_midpoints(np.asarray(cuts) % 1.0)
     pos = (mids[:, None] + np.asarray(F, dtype=float)[None, :] * alpha) % 1.0
-    sym = np.zeros(pos.shape, dtype=np.int8)
-    hit = np.zeros(pos.shape, dtype=bool)
+    sym = np.zeros(pos.shape, dtype=np.int8)        # 0: in no target
     for s, a in enumerate(arcs):
-        inside = a.contains(pos)
-        sym[inside] = s + 1
-        hit |= inside
-    assert hit.all(), "partition failed to cover a midpoint"
+        sym[a.contains(pos)] = s + 1
+    assert sym.all(), "partition failed to cover a midpoint"
     patterns = {tuple(row): mids[i] for i, row in enumerate(sym)}
     realized = len(patterns)
     verified = realized == n_patterns
@@ -218,64 +197,45 @@ def _check_exact_partition(sys, arcs, F, n_patterns, boundaries):
         note="partition coding: realized-pattern enumeration is exact")
 
 
-def _check_exact_arcs(sys, arcs, F, k):
-    """Pattern-by-pattern exact emptiness of arc intersections."""
+def _arc_witness(sys, arcs, F, k):
+    """Per-pattern witness of the arc route: the midpoint of the first arc of
+    the pattern's intersection, whose emptiness is exact."""
     alpha = sys.coding.alpha
     shifted = {(j, i): arcs[i].shift(-j * alpha) for j in F for i in range(k)}
-    witnesses, failures = {}, []
-    count = 0
-    for pat in itertools.product(range(1, k + 1), repeat=len(F)):
-        count += 1
+
+    def witness(pat):
         inter = ArcUnion.full()
         for j, s in zip(F, pat):
             inter = inter.intersect(shifted[(j, s - 1)])
             if inter.is_empty():
-                break
-        if inter.is_empty():
-            failures.append(pat)
-        elif len(witnesses) < 512:
-            lo, hi = inter.arcs[0]
-            witnesses[pat] = np.array([(lo + hi) / 2.0])
-    return IndependenceReport(
-        F=F, verified=not failures, method="exact-language", exact=True,
-        witnesses=witnesses, patterns_checked=count,
-        realized_patterns=count - len(failures), failures=failures,
-        note="arc-intersection emptiness is exact")
+                return None
+        lo, hi = inter.arcs[0]
+        return np.array([(lo + hi) / 2.0])
+
+    return witness
 
 
-def _check_exact_constraints(sys, cons, F, k, budget):
+def _check_exact_constraints(sys, cons, F, k):
     """Full-shift route: joint satisfiability is pairwise non-conflict.
 
     Symbol constraints conflict only position-by-position, so a pattern is
     realizable iff all its pairs are compatible, and all patterns are
     realizable iff all target pairs are compatible at all time-offset pairs.
     """
-    memo = {}
-
+    @functools.lru_cache(maxsize=None)
     def compatible_at(diff, i1, i2):
         # conflict depends only on the time difference j2 - j1
-        key = (diff, i1, i2)
-        if key not in memo:
-            off1, sym1 = cons[i1]
-            off2, sym2 = cons[i2]
-            lo = max(off1, diff + off2)
-            hi = min(off1 + len(sym1), diff + off2 + len(sym2))
-            if lo >= hi:
-                memo[key] = True
-            else:
-                a = sym1[lo - off1: hi - off1]
-                b = sym2[lo - diff - off2: hi - diff - off2]
-                memo[key] = bool(np.all(a == b))
-        return memo[key]
+        off1, sym1 = cons[i1]
+        off2, sym2 = cons[i2]
+        lo = max(off1, diff + off2)
+        hi = min(off1 + len(sym1), diff + off2 + len(sym2))
+        a = sym1[lo - off1: hi - off1]
+        b = sym2[lo - diff - off2: hi - diff - off2]
+        return lo >= hi or bool(np.all(a == b))
 
-    bad = None
-    for (j1, j2) in itertools.combinations(F, 2):
-        for i1, i2 in itertools.product(range(k), repeat=2):
-            if not compatible_at(j2 - j1, i1, i2):
-                bad = (j1, i1 + 1, j2, i2 + 1)
-                break
-        if bad:
-            break
+    bad = next(((j1, i1 + 1, j2, i2 + 1) for j1, j2 in itertools.combinations(F, 2)
+                for i1, i2 in itertools.product(range(k), repeat=2)
+                if not compatible_at(j2 - j1, i1, i2)), None)
 
     n_patterns = k ** len(F)
     witnesses = {}
@@ -298,43 +258,30 @@ def _check_exact_constraints(sys, cons, F, k, budget):
         note="conflicting constraints at times %d and %d" % (bad[0], bad[2]))
 
 
-def _check_sampled(sys, sets, F, k, budget):
+def _sampled_witness(sys, sets, F, k, budget):
+    """Per-pattern witness of the sampled route: the first sampled point
+    whose orbit visits the pattern's targets."""
     rng = np.random.default_rng(budget.seed)
     Z = sys.sample_block(rng, budget.max_candidates)
-    # membership[z, j_idx, i]: T^j z in A_i
+    # member[z, j_idx, i]: T^j z in A_i
     pts = sys.orbit_span(Z, 0, max(F))[np.asarray(F)]       # (|F|, len(Z), d)
     member = np.zeros((len(Z), len(F), k), dtype=bool)
     for zi in range(len(Z)):
         for i, t in enumerate(sets.targets):
             member[zi, :, i] = t.depth(sys, pts[:, zi]) > 0
-    witnesses, failures = {}, []
-    count = 0
-    for pat in itertools.product(range(1, k + 1), repeat=len(F)):
-        count += 1
+
+    def witness(pat):
         rows = np.all(member[:, np.arange(len(F)), np.asarray(pat) - 1], axis=1)
-        if rows.any():
-            if len(witnesses) < 512:
-                witnesses[pat] = Z[int(np.argmax(rows))]
-        else:
-            failures.append(pat)
-    return IndependenceReport(
-        F=F, verified=not failures, method="sampled", exact=False,
-        witnesses=witnesses, patterns_checked=count,
-        realized_patterns=count - len(failures), failures=failures,
-        note="" if not failures else
-        "unrealized patterns are budget-exhausted, not refuted")
+        return Z[int(np.argmax(rows))] if rows.any() else None
+
+    return witness
 
 
 # -- IP independence search -----------------------------------------------------
 
 
-def _nondecreasing_tuples(m, bound):
-    return itertools.combinations_with_replacement(range(1, bound + 1), m)
-
-
 def find_ip_independence(sys: SystemHandle, sets: SetTuple, m, gen_bound,
-                         budget: SearchBudget = DEFAULT_BUDGET,
-                         include_zero=True):
+                         budget: SearchBudget = DEFAULT_BUDGET):
     """Scan generator tuples (p_1 <= ... <= p_m) <= gen_bound for an FS witness.
 
     The checked time set is {0} union FS({p_i}): the cube formulation of
@@ -348,12 +295,11 @@ def find_ip_independence(sys: SystemHandle, sets: SetTuple, m, gen_bound,
         raise ValueError("m and gen_bound must be >= 1")
     scanned = 0
     patterns_checked = 0
-    ctx = _exact_context(sys, sets)
-    for gens in _nondecreasing_tuples(m, gen_bound):
+    ctx = _route_context(sys, sets)
+    for gens in itertools.combinations_with_replacement(range(1, gen_bound + 1), m):
         scanned += 1
         ip = fs_set(gens)
-        F = (0,) + ip.elements if include_zero else ip.elements
-        rep = check_independence(sys, sets, F, budget, _ctx=ctx)
+        rep = check_independence(sys, sets, (0,) + ip.elements, budget, _ctx=ctx)
         patterns_checked += rep.patterns_checked
         if rep.verified:
             return ip, {"status": "witness", "generators": list(gens),

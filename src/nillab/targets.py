@@ -1,11 +1,15 @@
-"""Target sets shared by covers and independence checks: metric balls and
-symbol cylinders.
+"""Target sets shared by covers, independence checks and cube searches:
+metric balls and symbol cylinders.
 
-Every target has one method, `depth(sys, P)`: how far inside the set each
-point row of the block P sits, positive exactly on members. Membership is
-therefore `depth > 0` for every kind of target. For a ball that is exact in
-floating point (`r - d > 0` iff `d < r`); a cylinder's depth is either its
-inner radius or -1.
+Every target has `depth(sys, P)`: how far inside the set each point row of
+the block P sits, positive exactly on members. Membership is therefore
+`depth > 0` for every kind of target. For a ball that is exact in floating
+point (`r - d > 0` iff `d < r`); a cylinder's depth is either its inner
+radius or -1.
+
+The exact searches read a target through `arcs(coding)`, the set as an arc
+union on a rotation coding's circle, and `run()`, the set as one symbol run
+`(offset, int8 symbols)`; None means the target has no such form.
 """
 
 from __future__ import annotations
@@ -13,6 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .arcs import ArcUnion
+from .systems import symbol_resolution
 
 
 @dataclass(frozen=True)
@@ -26,6 +33,23 @@ class Ball:
         center = np.asarray(self.center)
         return self.radius - sys.metric_block(P, np.broadcast_to(center, P.shape))
 
+    def arcs(self, coding):
+        center = np.ravel(np.asarray(self.center, dtype=float))
+        if len(coding.partition) == 1:
+            # plain circle rotation: metric balls are arcs
+            return ArcUnion.interval(center[0] - self.radius, center[0] + self.radius)
+        # coded system: the ball is the cylinder of the center's window
+        w = symbol_resolution(self.radius)
+        word = coding.symbols_block(center[:1], np.arange(-(w - 1), w))[0]
+        return Cylinder(tuple(int(s) for s in word), -(w - 1)).arcs(coding)
+
+    def run(self):
+        # the center row's stored symbols out to |j| <= w-1, or its own reach
+        row = np.asarray(self.center)
+        c = (len(row) - 1) // 2
+        r = min(symbol_resolution(self.radius) - 1, c)
+        return (-r, np.array(row[c - r:c + r + 1], dtype=np.int8))
+
 
 @dataclass(frozen=True)
 class CylinderUnion:
@@ -37,14 +61,23 @@ class CylinderUnion:
     def depth(self, sys, P):
         words = np.stack([np.asarray(sys.to_window(p).word) for p in P])
         c = (words.shape[1] - 1) // 2
+        reach = max(max(abs(a), abs(a + len(w) - 1)) for w, a in self.cylinders)
+        if reach > c:
+            raise ValueError("cylinder word reaches offset %d, past the window "
+                             "[-%d, %d]" % (reach, c, c))
         inside = np.zeros(len(P), dtype=bool)
         for word, anchor in self.cylinders:
             lo = c + anchor
             seg = words[:, lo:lo + len(word)]
             inside |= np.all(seg == np.asarray(word), axis=1)
         # a ball of radius below 2^-(max constrained offset) stays inside
-        reach = max(max(abs(a), abs(a + len(w) - 1)) for w, a in self.cylinders)
         return np.where(inside, 2.0 ** (-(reach + 1)), -1.0)
+
+    def arcs(self, coding):
+        return None
+
+    def run(self):
+        return None
 
 
 @dataclass(frozen=True)
@@ -56,3 +89,13 @@ class Cylinder:
 
     def depth(self, sys, P):
         return CylinderUnion(((self.word, self.anchor),)).depth(sys, P)
+
+    def arcs(self, coding):
+        arcs = ArcUnion.full()
+        for i, sym in enumerate(self.word):
+            base = coding.partition[int(sym)]
+            arcs = arcs.intersect(base.shift(-(self.anchor + i) * coding.alpha))
+        return arcs
+
+    def run(self):
+        return (int(self.anchor), np.asarray(self.word, dtype=np.int8))

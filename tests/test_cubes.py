@@ -185,3 +185,18 @@ def test_cube_criterion_d1_consistent_with_rp_style_search():
         orbitn = fsh.orbit_span(z, 0, max(n))[-1] if max(n) >= 0 else z
         assert fsh.metric(orbit0, which[key[0]]) < 0.05
         assert fsh.metric(orbitn, which[key[1]]) < 0.05
+
+
+def test_cube_criterion_fullshift_delta_finer_than_window():
+    # delta = 2^-12 needs agreement out to |j| <= 11, past the window L = 8
+    fsh = make_fullshift(2, L=8)
+    x1 = fsh.construct_point([(-8, np.zeros(17, dtype=np.int8))])
+    x2 = fsh.construct_point([(-8, np.ones(17, dtype=np.int8))])
+    delta = 2.0 ** -12
+    rep = cube_criterion(fsh, x1, x2, 1, delta, SearchBudget(seed=0))
+    assert rep["all_realized"] and rep["budget"]["constructive"]
+    for key, res in rep["patterns"].items():
+        z = np.array(res["base_point"], dtype=np.int8)
+        cube = sample_cube(fsh, z, res["n"])
+        for eps, which in zip(vertex_set(1), key):
+            assert fsh.metric(cube.point(eps), x1 if which == "1" else x2) < delta

@@ -2,7 +2,9 @@
 
 The files under tests/golden/ were written by the same commands; any change
 to an orbit, grid, net, witness or report format shows up here. heis.csv is
-not a criterion-10 file: it pins the Heisenberg nilsystem nets.
+not a criterion-10 file: it pins the Heisenberg nilsystem nets; the cube_*
+and ind_* files pin the constructive and scan cube searches and the
+constraints and arcs independence routes.
 """
 
 from pathlib import Path
@@ -27,9 +29,24 @@ COMMANDS = [
       "--seed", "5", "--out-json", "rp.json"], ["rp.json"]),
     (["complexity", "--system", "heisenberg", "--eps", "0.4", "--grid-divisor", "4",
       "--n-grid", "1,2", "--out", "heis.csv"], ["heis.csv"]),
+    (["cube-criterion", "--system", "fullshift:k=2", "--x1", "00000000000",
+      "--x2", "11111111111", "--d", "2", "--delta", "0.05", "--seed", "0",
+      "--out-json", "cube_fullshift.json"], ["cube_fullshift.json"]),
+    (["cube-criterion", "--system", "skew:alpha=golden", "--x1", "0.2/0.1",
+      "--x2", "0.2/0.7", "--d", "1", "--delta", "0.05", "--seed", "0",
+      "--out-json", "cube_skew.json"], ["cube_skew.json"]),
+    (["ind-check", "--system", "fullshift:k=2", "--targets", "cyl:0@0 cyl:1@0",
+      "--F", "0,1,2", "--seed", "0", "--out-json", "ind_fullshift.json"],
+     ["ind_fullshift.json"]),
+    (["ind-check", "--system", "rotation:alpha=golden", "--targets",
+      "ball:0.35@0.3 ball:0.6@0.3", "--F", "0,1,3,8", "--seed", "0",
+      "--out-json", "ind_rotation.json"], ["ind_rotation.json"]),
 ]
-# test ids: the subcommand, and the system where a subcommand repeats
-IDS = [argv[0] + ("-heisenberg" if "heisenberg" in argv else "") for argv, _ in COMMANDS]
+# test ids: the subcommand, and the system where a subcommand repeats (the
+# first complexity command kept its bare id)
+IDS = ["simulate", "complexity", "ip-search", "rp-test", "complexity-heisenberg",
+       "cube-criterion-fullshift", "cube-criterion-skew", "ind-check-fullshift",
+       "ind-check-rotation"]
 
 
 @pytest.mark.parametrize("argv,files", COMMANDS, ids=IDS)

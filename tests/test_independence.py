@@ -160,3 +160,15 @@ def test_sturmian_language_preconditions():
         sturmian_language(0.25, 5)
     with pytest.raises(ValueError):
         sturmian_language(GOLDEN, 65)
+
+
+def test_fullshift_ball_finer_than_window_uses_the_whole_run():
+    # radius 2^-12 pins |j| <= 11, past the window L = 8: the runs of the two
+    # balls at times 0 and 17 overlap on offsets 6..11 and disagree there
+    fsh = make_fullshift(2, L=8)
+    x1 = fsh.construct_point([(-8, np.zeros(17, dtype=np.int8))])
+    x2 = fsh.construct_point([(-8, np.ones(17, dtype=np.int8))])
+    rep = check_independence(fsh, SetTuple((Ball(x1, 2 ** -12), Ball(x2, 2 ** -12))),
+                             [0, 17])
+    assert rep.exact and not rep.verified
+    assert rep.note == "conflicting constraints at times 0 and 17"
