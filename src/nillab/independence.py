@@ -240,17 +240,24 @@ def _check_exact_constraints(sys, cons, F, k):
     n_patterns = k ** len(F)
     witnesses = {}
     if bad is None:
+        tried = min(n_patterns, 64)
         for pat in itertools.islice(itertools.product(range(1, k + 1),
-                                                      repeat=len(F)), 64):
+                                                      repeat=len(F)), tried):
             point = sys.construct_point(
                 [(j + cons[s - 1][0], cons[s - 1][1]) for j, s in zip(F, pat)])
             if point is not None:
                 witnesses[pat] = point
+        note = "pairwise constraint compatibility certifies all patterns"
+        if len(witnesses) < tried:
+            # compatible runs only fail to build past the stored range; the
+            # empty constraint list gives a point of the stored width
+            half = (len(sys.construct_point([])) - 1) // 2
+            note += ("; %d of %d witnesses not built: their runs reach past the "
+                     "stored range [-%d, %d]" % (tried - len(witnesses), tried, half, half))
         return IndependenceReport(
             F=F, verified=True, method="exact-language", exact=True,
             witnesses=witnesses, patterns_checked=n_patterns,
-            realized_patterns=n_patterns,
-            note="pairwise constraint compatibility certifies all patterns")
+            realized_patterns=n_patterns, note=note)
     pat = tuple(bad[1] if j == bad[0] else (bad[3] if j == bad[2] else 1) for j in F)
     return IndependenceReport(
         F=F, verified=False, method="exact-language", exact=True,

@@ -11,6 +11,15 @@ integer coordinates in a finite sup-norm box; the true infimum is attained in
 such a box for bounded representatives, but no formula for its size is
 available, so the radius is a tunable with a safe default.
 
+The box is searched by branch and bound, one lattice coordinate at a time.
+The group law is triangular, so coordinate i of z = y gamma, z^-1, x z^-1 and
+z x^-1 depends only on gamma_0..gamma_i and is computed with exactly the
+floating-point operations of `NilGroup.mul_block` and `inv_block`. The running
+maxima of |x z^-1| and |z x^-1| over the coordinates fixed so far bound every
+completion of a branch from below, exactly, and a branch is dropped once that
+bound exceeds the value of a box element found by a greedy dive. The minimizer
+is never dropped, so the result is the full-box minimum bit for bit.
+
 The one-hop variant may violate the triangle inequality away from the
 diagonal. Everything downstream (shadowing nets, witness searches) only needs
 symmetry, identity of indiscernibles and local equivalence.
@@ -18,7 +27,6 @@ symmetry, identity of indiscernibles and local equivalence.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +44,9 @@ class MetricParams:
 
     gamma_bound: sup-norm radius C for lattice candidates; None picks
     2 + max coordinate norm of the two representatives.
-    max_cells: cap on the number of enumerated lattice points.
+    max_cells: cap on the size (2C+1)^m of the lattice box. The pruned
+    search evaluates far fewer candidates, but the cap still applies to the
+    box it searches, so the same radii are refused.
     """
 
     gamma_bound: float | None = None
@@ -90,16 +100,6 @@ def dist_group_block(grp: NilGroup, X, Y):
     return np.minimum(d1, d2)
 
 
-def _lattice_box(grp: NilGroup, radius: int, max_cells: int):
-    count = (2 * radius + 1) ** grp.dim
-    if count > max_cells:
-        raise BudgetError(
-            "lattice enumeration needs %d cells (> budget %d); lower gamma_bound"
-            % (count, max_cells))
-    rng = range(-radius, radius + 1)
-    return np.array(list(itertools.product(*[rng] * grp.dim)), dtype=float)
-
-
 def dist_quotient(p: QuotientPoint, q: QuotientPoint,
                   params: MetricParams = DEFAULT_PARAMS) -> float:
     if p.group is not q.group:
@@ -111,7 +111,9 @@ def dist_quotient_block(grp: NilGroup, P, Q, params: MetricParams = DEFAULT_PARA
     """Rowwise quotient distance for reduced coordinate blocks P, Q.
 
     Minimizes dist_group over both families (p, q gamma) and (q, p gamma) so
-    the candidate set, and hence the value, is symmetric in (p, q).
+    the candidate set, and hence the value, is symmetric in (p, q). Both
+    families and all pairs share one pruned search over the lattice box
+    (see the module docstring); the value equals the full-box minimum.
     """
     P = np.asarray(P, dtype=float)
     Q = np.asarray(Q, dtype=float)
@@ -119,12 +121,74 @@ def dist_quotient_block(grp: NilGroup, P, Q, params: MetricParams = DEFAULT_PARA
     if bound is None:
         bound = 2.0 + max(np.max(np.abs(P)) if P.size else 0.0,
                           np.max(np.abs(Q)) if Q.size else 0.0)
-    gammas = _lattice_box(grp, int(np.ceil(bound)), params.max_cells)  # (G, m)
-    qg = grp.mul_block(Q[..., None, :], gammas)                        # (..., G, m)
-    pg = grp.mul_block(P[..., None, :], gammas)
-    d1 = np.min(dist_group_block(grp, P[..., None, :], qg), axis=-1)
-    d2 = np.min(dist_group_block(grp, Q[..., None, :], pg), axis=-1)
-    return np.minimum(d1, d2)
+    radius = int(np.ceil(bound))
+    m = grp.dim
+    count = (2 * radius + 1) ** m
+    if count > params.max_cells:
+        raise BudgetError(
+            "lattice enumeration needs %d cells (> budget %d); lower gamma_bound"
+            % (count, params.max_cells))
+    shape = np.broadcast_shapes(P.shape[:-1], Q.shape[:-1])
+    P = np.broadcast_to(P, shape + (m,)).reshape(-1, m)
+    Q = np.broadcast_to(Q, shape + (m,)).reshape(-1, m)
+    # branch state, one row per branch: y, x, z = y gamma | gamma, z^-1, x^-1;
+    # branches 2k and 2k+1 are the families (p, q gamma) and (q, p gamma) of pair k
+    root = np.empty((2 * len(P), 6, m))
+    root[0::2, 0], root[0::2, 1] = Q, P
+    root[1::2, 0], root[1::2, 1] = P, Q
+    root[:, 5] = grp.inv_block(root[:, 1])
+    gammas = np.arange(-radius, radius + 1, dtype=float)
+    pair = np.arange(len(root)) >> 1
+    zero = np.zeros(len(root))
+
+    # greedy dive: one branch per family, the child of least lower bound
+    state, a, b = root.copy(), zero, zero
+    rows = np.arange(len(root))
+    for i in range(m):
+        z, w, A, B = _children(grp, i, gammas, state, a, b)
+        k = np.argmin(np.minimum(A, B), axis=1)
+        state[:, 2, i], state[:, 3, i], state[:, 4, i] = z[rows, k], gammas[k], w[rows, k]
+        a, b = A[rows, k], B[rows, k]
+    dive = np.minimum(a, b)
+    cut = np.minimum(dive[0::2], dive[1::2])   # a box element's value, per pair
+
+    # search: keep every child whose lower bound does not exceed the cut
+    # (a NaN bound is kept, so a row with a NaN coordinate stays NaN)
+    state, a, b = root, zero, zero
+    for i in range(m):
+        z, w, A, B = _children(grp, i, gammas, state, a, b)
+        par, k = np.nonzero(~(np.minimum(A, B) > cut[pair][:, None]))
+        pair, state = pair[par], state[par]
+        state[:, 2, i], state[:, 3, i], state[:, 4, i] = z[par, k], gammas[k], w[par, k]
+        a, b = A[par, k], B[par, k]
+    out = np.full(len(P), np.inf)
+    np.minimum.at(out, pair, np.minimum(a, b))
+    return out.reshape(shape)
+
+
+def _children(grp: NilGroup, i, gammas, state, a, b):
+    """Coordinate i of z = y gamma and z^-1 for every (branch, gamma_i) child,
+    with the running maxima of |x z^-1| and |z x^-1| over coordinates 0..i.
+
+    Each coordinate repeats the operations of `mul_block` and `inv_block`:
+    t_i + u_i, then += p(t_<i, u_<i); -t_i, then += q(t_<i).
+    """
+    y, x, ix = state[:, 0, i, None], state[:, 1, i, None], state[:, 5, i, None]
+    pa = pb = None
+    z = y + gammas
+    if i and grp.mul_polys[i - 1].terms:
+        # one call for y gamma, x z^-1 and z x^-1: (y, x, z) against (gamma, z^-1, x^-1)
+        pz, pa, pb = grp.mul_polys[i - 1](state[:, 0:3, :i], state[:, 3:6, :i]).T
+        z += pz[:, None]
+    w = -z
+    if i and grp.inv_polys[i - 1].terms:
+        w += grp.inv_polys[i - 1](state[:, 2, :i])[:, None]
+    A = x + w
+    B = z + ix
+    if pa is not None:
+        A += pa[:, None]
+        B += pb[:, None]
+    return z, w, np.maximum(a[:, None], np.abs(A)), np.maximum(b[:, None], np.abs(B))
 
 
 def orbit_distance_growth(system, x: QuotientPoint, y: QuotientPoint, n_max: int):

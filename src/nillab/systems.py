@@ -356,6 +356,15 @@ def symbol_resolution(eps):
     return max(1, int(math.ceil(-math.log2(eps))))
 
 
+def open_symbol_resolution(radius):
+    """Smallest w >= 0 with 2^-w < radius: agreement out to |j| <= w-1 decides
+    membership in the open ball (`symbol_resolution` is the closed version)."""
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    mant, exp = math.frexp(radius)      # radius = mant * 2^exp, 0.5 <= mant < 1
+    return max(0, 1 - exp + (mant == 0.5))
+
+
 def _window_distance(WP, WQ, L):
     """2^-(min |offset| of disagreement) for stacked windows at offsets -L..L."""
     diff = WP != WQ

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arcs import ArcUnion
-from .systems import symbol_resolution
+from .systems import open_symbol_resolution
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ class Ball:
             # plain circle rotation: metric balls are arcs
             return ArcUnion.interval(center[0] - self.radius, center[0] + self.radius)
         # coded system: the ball is the cylinder of the center's window
-        w = symbol_resolution(self.radius)
+        w = open_symbol_resolution(self.radius)
         word = coding.symbols_block(center[:1], np.arange(-(w - 1), w))[0]
         return Cylinder(tuple(int(s) for s in word), -(w - 1)).arcs(coding)
 
@@ -47,7 +47,7 @@ class Ball:
         # the center row's stored symbols out to |j| <= w-1, or its own reach
         row = np.asarray(self.center)
         c = (len(row) - 1) // 2
-        r = min(symbol_resolution(self.radius) - 1, c)
+        r = min(open_symbol_resolution(self.radius) - 1, c)
         return (-r, np.array(row[c - r:c + r + 1], dtype=np.int8))
 
 

@@ -200,3 +200,17 @@ def test_cube_criterion_fullshift_delta_finer_than_window():
         cube = sample_cube(fsh, z, res["n"])
         for eps, which in zip(vertex_set(1), key):
             assert fsh.metric(cube.point(eps), x1 if which == "1" else x2) < delta
+
+
+def test_cube_criterion_fullshift_dyadic_delta():
+    # at delta = 2^-4 a vertex 2^-4 from its center is outside the open ball
+    fsh = make_fullshift(2, L=8)
+    x1 = fsh.construct_point([(4, np.ones(1, dtype=np.int8))])
+    x2 = fsh.construct_point([(-8, np.ones(17, dtype=np.int8))])
+    delta = 2.0 ** -4
+    rep = cube_criterion(fsh, x1, x2, 1, delta, SearchBudget(seed=0))
+    assert rep["all_realized"] and rep["budget"]["constructive"]
+    for key, res in rep["patterns"].items():
+        cube = sample_cube(fsh, np.array(res["base_point"], dtype=np.int8), res["n"])
+        for eps, which in zip(vertex_set(1), key):
+            assert fsh.metric(cube.point(eps), x1 if which == "1" else x2) < delta

@@ -4,9 +4,11 @@ The files under tests/golden/ were written by the same commands; any change
 to an orbit, grid, net, witness or report format shows up here. heis.csv is
 not a criterion-10 file: it pins the Heisenberg nilsystem nets; the cube_*
 and ind_* files pin the constructive and scan cube searches and the
-constraints and arcs independence routes.
+constraints and arcs independence routes. f4.csv pins the nets of a step-3
+nilsystem on the group law in filiform4.json.
 """
 
+import shutil
 from pathlib import Path
 
 import pytest
@@ -55,3 +57,15 @@ def test_cli_outputs_match_golden(tmp_path, monkeypatch, argv, files):
     assert main(argv) == 0
     for name in files:
         assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
+
+
+def test_step3_nilsystem_complexity_matches_golden(tmp_path, monkeypatch):
+    # the group file sits next to the output, so the descriptor in the
+    # header stays relative
+    shutil.copy(GOLDEN_DIR / "filiform4.json", tmp_path / "filiform4.json")
+    monkeypatch.chdir(tmp_path)
+    assert main(["complexity", "--system",
+                 "nilsystem:group=filiform4.json,tau=golden/0.7071067811865476/0/0",
+                 "--eps", "0.45", "--grid-divisor", "4", "--n-grid", "0,1",
+                 "--out", "f4.csv"]) == 0
+    assert (tmp_path / "f4.csv").read_bytes() == (GOLDEN_DIR / "f4.csv").read_bytes()

@@ -172,3 +172,34 @@ def test_fullshift_ball_finer_than_window_uses_the_whole_run():
                              [0, 17])
     assert rep.exact and not rep.verified
     assert rep.note == "conflicting constraints at times 0 and 17"
+
+
+def _dyadic_fixture():
+    # x1 is 0 but for a 1 at offset 4, x2 is 1 on the window [-8, 8]; at
+    # radius 2^-4 the open balls pin |j| <= 4
+    fsh = make_fullshift(2, L=8)
+    x1 = fsh.construct_point([(4, np.ones(1, dtype=np.int8))])
+    x2 = fsh.construct_point([(-8, np.ones(17, dtype=np.int8))])
+    return fsh, x1, x2
+
+
+def test_fullshift_ball_witnesses_at_dyadic_radius_lie_inside():
+    fsh, x1, x2 = _dyadic_fixture()
+    balls = (Ball(x1, 2.0 ** -4), Ball(x2, 2.0 ** -4))
+    rep = check_independence(fsh, SetTuple(balls), [0, 20])
+    assert rep.verified and rep.exact and len(rep.witnesses) == 4
+    for pat, point in rep.witnesses.items():
+        orbit = fsh.orbit_span(point, 0, 20)
+        for j, s in zip((0, 20), pat):
+            assert balls[s - 1].depth(fsh, orbit[j][None])[0] > 0
+
+
+def test_constraint_witnesses_past_the_stored_range_are_counted():
+    # time 200 puts each run past the stored range +-(L + reserve) = +-136
+    fsh = make_fullshift(2, L=8)
+    rep = check_independence(fsh, BINARY, [0, 200])
+    assert rep.verified and rep.exact and rep.realized_patterns == 4
+    assert rep.witnesses == {}
+    assert rep.note == ("pairwise constraint compatibility certifies all patterns; "
+                        "4 of 4 witnesses not built: their runs reach past the "
+                        "stored range [-136, 136]")

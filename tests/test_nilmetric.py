@@ -1,13 +1,16 @@
 """One-hop group metric and the lattice-minimized quotient distance."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from nillab.nilgroup import abelian, element, heisenberg3, mul
+from nillab.nilgroup import NilGroup, abelian, element, heisenberg3, mul, validate_group
 from nillab.nilmetric import (BudgetError, MetricParams, dist_group,
                               dist_group_block, dist_quotient,
                               dist_quotient_block, orbit_distance_growth,
                               quotient_point)
+from nillab.polynomials import SparsePoly
 from nillab.systems import make_nilsystem
 
 H = heisenberg3()
@@ -109,3 +112,91 @@ def test_orbit_growth_rejects_identical_points():
     x = quotient_point(C, [0.1])
     with pytest.raises(ValueError):
         orbit_distance_growth(sys, x, x, 10)
+
+
+# -- the pruned search against the full lattice box ------------------------------
+
+# step-3 filiform group, the law of the benchmark's filiform4.json
+FILIFORM4 = NilGroup(
+    dim=4, step=3,
+    mul_polys=[SparsePoly.zero(),
+               SparsePoly([(1.0, (1, 0), (0, 1))]),
+               SparsePoly([(1.0, (1, 0, 0), (0, 0, 1)), (0.5, (2, 0, 0), (0, 1, 0)),
+                           (-0.5, (1, 0, 0), (0, 1, 0))])],
+    inv_polys=[SparsePoly.zero(),
+               SparsePoly([(1.0, (1, 1), ())]),
+               SparsePoly([(1.0, (1, 0, 1), ()), (-0.5, (2, 1, 0), ()),
+                           (-0.5, (1, 1, 0), ())])],
+    name="filiform4")
+
+
+def full_box_distance(grp, P, Q, params=MetricParams()):
+    """Reference: dist_group against every translate of the (2C+1)^m box."""
+    P = np.asarray(P, dtype=float)
+    Q = np.asarray(Q, dtype=float)
+    bound = params.gamma_bound
+    if bound is None:
+        bound = 2.0 + max(np.max(np.abs(P)) if P.size else 0.0,
+                          np.max(np.abs(Q)) if Q.size else 0.0)
+    radius = int(np.ceil(bound))
+    rng = range(-radius, radius + 1)
+    gammas = np.array(list(itertools.product(*[rng] * grp.dim)), dtype=float)
+    qg = grp.mul_block(Q[..., None, :], gammas)
+    pg = grp.mul_block(P[..., None, :], gammas)
+    d1 = np.min(dist_group_block(grp, P[..., None, :], qg), axis=-1)
+    d2 = np.min(dist_group_block(grp, Q[..., None, :], pg), axis=-1)
+    return np.minimum(d1, d2)
+
+
+def assert_same_bits(grp, P, Q, params=MetricParams()):
+    want = np.asarray(full_box_distance(grp, P, Q, params))
+    got = np.asarray(dist_quotient_block(grp, P, Q, params))
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("grp,params,n", [
+    (H, MetricParams(), 400),
+    (abelian(1), MetricParams(), 400),
+    (abelian(2), MetricParams(), 400),
+    (FILIFORM4, MetricParams(gamma_bound=1.0), 400),
+    (FILIFORM4, MetricParams(), 40),
+], ids=["heisenberg3", "abelian1", "abelian2", "filiform4-radius1", "filiform4"])
+def test_pruned_search_is_the_full_box_minimum(grp, params, n):
+    assert validate_group(grp)["ok"]
+    rng = np.random.default_rng(31)
+    m = grp.dim
+    P = rng.uniform(0, 1, (n, m))
+    far = rng.uniform(0, 1, (n, m))
+    close = (P + rng.uniform(-0.05, 0.05, (n, m))) % 1.0
+    tiny = (P + rng.uniform(-1e-9, 1e-9, (n, m))) % 1.0
+    for Q in (far, close, tiny, P):
+        assert_same_bits(grp, P, Q, params)
+    assert_same_bits(grp, close, P, params)
+    # broadcast shapes, a single row and an empty block
+    probe = rng.uniform(0, 1, (48 if n >= 400 else 12, m))
+    assert_same_bits(grp, probe[:, None, :], probe[None, :, :], params)
+    assert_same_bits(grp, P[0], far[:5], params)
+    assert_same_bits(grp, P[:0], far[:0], params)
+    # a NaN coordinate gives NaN, as in the full box, not a pruned-away inf
+    bad = P[:3].copy()
+    bad[1, -1] = np.nan
+    with np.errstate(invalid="ignore"):
+        got = dist_quotient_block(grp, bad, far[:3], MetricParams(gamma_bound=1.0))
+    want = full_box_distance(grp, bad, far[:3], MetricParams(gamma_bound=1.0))
+    assert np.array_equal(np.isnan(got), [False, True, False])
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_budget_counts_the_box_not_the_candidates():
+    # the default box for reduced points has radius 3: 7^3 = 343 cells
+    P = np.full((2, 3), 0.25)
+    Q = np.full((2, 3), 0.5)
+    assert np.array_equal(dist_quotient_block(H, P, Q, MetricParams(max_cells=343)),
+                          dist_quotient_block(H, P, Q))
+    with pytest.raises(BudgetError, match=r"^lattice enumeration needs 343 cells "
+                                          r"\(> budget 342\); lower gamma_bound$"):
+        dist_quotient_block(H, P, Q, MetricParams(max_cells=342))
+    # a box far too large to enumerate is refused before any search
+    with pytest.raises(BudgetError, match="needs %d cells" % (2 * 10 ** 6 + 1) ** 3):
+        dist_quotient_block(H, P, Q, MetricParams(gamma_bound=1e6))

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from nillab.systems import make_fullshift, make_rotation, make_sturmian, sample_points
+from nillab.systems import (make_fullshift, make_rotation, make_sturmian,
+                            open_symbol_resolution, sample_points)
 from nillab.targets import Ball, Cylinder, CylinderUnion
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -26,7 +27,7 @@ def test_ball_run_reads_the_center_row():
     fsh = make_fullshift(2, L=8)
     x = sample_points(fsh, 1, seed=4)[0]
     center = (len(x) - 1) // 2
-    for radius, reach in ((0.3, 1), (0.05, 4), (2.0 ** -12, 11), (2.0 ** -200, center)):
+    for radius, reach in ((0.3, 1), (0.05, 4), (2.0 ** -12, 12), (2.0 ** -200, center)):
         offset, symbols = Ball(x, radius).run()
         assert offset == -reach and symbols.dtype == np.int8
         assert np.array_equal(symbols, x[center - reach:center + reach + 1])
@@ -45,3 +46,29 @@ def test_arcs_of_balls_and_cylinders():
     words = stu.coding.symbols_block(z, [-1, 0])
     assert np.array_equal(arc.contains(z), np.all(words == [0, 1], axis=1))
     assert CylinderUnion((((0,), 0),)).arcs(stu.coding) is None
+
+
+def test_open_symbol_resolution():
+    # smallest w >= 0 with 2^-w < radius: one more at a dyadic radius
+    for radius, w in ((2.0, 0), (1.0, 1), (0.75, 1), (0.5, 2), (0.3, 2),
+                      (2.0 ** -4, 5), (0.05, 5), (2.0 ** -12, 13)):
+        assert open_symbol_resolution(radius) == w
+        assert 2.0 ** -w < radius and (w == 0 or 2.0 ** -(w - 1) >= radius)
+    with pytest.raises(ValueError):
+        open_symbol_resolution(0.0)
+
+
+def test_ball_forms_are_open_at_dyadic_radii():
+    # at radius 2^-4 a point 2^-4 from the center (first disagreement at
+    # |j| = 4) lies on the sphere, outside the open ball
+    fsh = make_fullshift(2, L=8)
+    x = sample_points(fsh, 1, seed=4)[0]
+    center = (len(x) - 1) // 2
+    offset, symbols = Ball(x, 2.0 ** -4).run()
+    assert offset == -4 and np.array_equal(symbols, x[center - 4:center + 5])
+    stu = make_sturmian(GOLDEN)
+    z = (np.arange(20_000) + 0.5) / 20_000
+    for radius in (2.0 ** -2, 2.0 ** -4, 0.05):
+        ball = Ball((0.3,), radius)
+        arcs = ball.arcs(stu.coding)
+        assert np.array_equal(arcs.contains(z), ball.depth(stu, z[:, None]) > 0)
