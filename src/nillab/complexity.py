@@ -10,13 +10,16 @@ grid, deterministic for a fixed budget.
 
 from __future__ import annotations
 
+import heapq
+import inspect
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .budgets import DEFAULT_BUDGET, SearchBudget
-from .systems import GridError, SystemHandle
+from .systems import GridError, SystemHandle, wrap_dist_block
 from .targets import Ball, CylinderUnion  # re-exported: the cover sets
 
 # random row pairs an exact grid is spot-checked on
@@ -96,6 +99,17 @@ def shadowing_net(sys: SystemHandle, n, epsilon, budget: SearchBudget = DEFAULT_
     First-fit greedy: walk the grid in fixed order, adding any point not yet
     shadowed by the net and absorbing everything it shadows. The result size
     is an upper estimate of r(n, epsilon) relative to the grid.
+
+    A point farther than epsilon from a new net point at time 0 is never
+    shadowed by it, so each step tests only the time-0 neighbourhood of the
+    net point: the 3^d cells around its own in a grid of K cells per axis
+    over the time-0 points (`_time0_buckets`). Under the wrap-sup metric on
+    [0, 1]^d, K = max(1, floor(1/epsilon) - 1) makes every cell wider than
+    epsilon, so a point within epsilon lies at most one cell away on each
+    axis, cyclically. No such bound is proven for any other metric, which
+    gets K = 1: one cell holding the whole grid. The candidates then face the
+    same elementwise comparisons `metric <= epsilon` as a full scan, so the
+    net is the one the full scan builds.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -106,35 +120,55 @@ def shadowing_net(sys: SystemHandle, n, epsilon, budget: SearchBudget = DEFAULT_
     G = len(grid)
 
     orbits = sys.orbit_span(grid, 0, n)
+    buckets, cells, K = _time0_buckets(sys, orbits[0], epsilon)
 
-    # check late times first: orbit separation grows with t for the systems of
-    # interest, so most non-covered points drop out immediately
-    time_order = [n, 0] + list(range(n - 1, 0, -1)) if n > 0 else [0]
     assigned = np.full(G, -1, dtype=np.int64)
     net = []
     for i in range(G):
         if assigned[i] >= 0:
             continue
         net.append(i)
-        cand = np.flatnonzero(assigned < 0)
-        for t in time_order:
-            keep = sys.metric_block(orbits[t][cand],
-                                    np.broadcast_to(orbits[t][i], orbits[t][cand].shape)
-                                    ) <= epsilon
-            cand = cand[keep]
-            if cand.size == 0:
-                break
+        rings = [{(c - 1) % K, c, (c + 1) % K} for c in cells[i].tolist()]
+        cand = np.concatenate([buckets[key] for key in itertools.product(*rings)
+                               if key in buckets])
+        cand = cand[assigned[cand] < 0]
+        # the horizon first, where orbits have separated most; then the
+        # survivors against times 0..n-1 in one call
+        for times in (slice(n, n + 1), slice(0, n)):
+            block = orbits[times, cand]
+            if block.size:
+                dist = sys.metric_block(block, np.broadcast_to(orbits[times, i, None],
+                                                               block.shape))
+                cand = cand[np.all(dist <= epsilon, axis=0)]
         assigned[cand] = i
         assigned[i] = i
 
-    for t in time_order:
-        d = sys.metric_block(orbits[t], orbits[t][assigned])
-        if np.any(d > epsilon + 1e-12):
+    for P in orbits:
+        if np.any(sys.metric_block(P, P[assigned]) > epsilon + 1e-12):
             raise RuntimeError("net failed post-hoc shadowing validation: "
                                "program error")
     return {"net_indices": np.array(net), "net_points": grid[np.array(net)],
             "assigned": assigned, "grid_size": G, "r_estimate": len(net),
             "n": n, "epsilon": epsilon}
+
+
+def _time0_buckets(sys, base, epsilon):
+    """(buckets, cells, K): the rows of `base` grouped by their cell in a
+    grid of K cells per axis, as {cell tuple: row indices}, and each row's
+    cell. K > 1 only under the wrap-sup metric (or a decorator of it that
+    sets `__wrapped__`) with every coordinate in [0, 1]; `% 1.0` can give
+    exactly 1.0, which joins the last cell."""
+    K = 1
+    if inspect.unwrap(sys.metric_block) is wrap_dist_block \
+            and base.min() >= 0.0 and base.max() <= 1.0:
+        K = max(1, int(1.0 / epsilon) - 1)
+    cells = np.clip((base * K).astype(np.int64), 0, K - 1)
+    order = np.lexsort(cells.T)
+    ranked = cells[order]
+    starts = [0] + (np.flatnonzero(np.any(ranked[1:] != ranked[:-1], axis=1)) + 1).tolist()
+    buckets = {tuple(ranked[a].tolist()): order[a:b]
+               for a, b in zip(starts, starts[1:] + [len(order)])}
+    return buckets, cells, K
 
 
 def _whole_grid_net(sys, grid, n, epsilon, seed):
@@ -239,7 +273,10 @@ def cover_complexity(sys: SystemHandle, cover: Cover, n,
 
     Join cells are itineraries (which cover set to use at each time 0..n);
     candidates come from the deepest-containment itinerary of each grid point,
-    and greedy set cover picks cells until the grid is covered. When the
+    and greedy set cover picks cells until the grid is covered. Each pick is
+    the cell covering the most uncovered grid points; among ties it is the
+    first cell in lexicographic itinerary order. A lazy heap of stale gains
+    (`_greedy_cover`) finds that pick without rescanning every cell. When the
     cover's Lebesgue number is known, the shadowing bound r(n, delta/2) is
     reported alongside.
     """
@@ -250,45 +287,62 @@ def cover_complexity(sys: SystemHandle, cover: Cover, n,
         raise ValueError("cover has nonpositive Lebesgue estimate")
     if grid is None:
         grid = system_grid(sys, n, eps_ref, budget)
-    G = len(grid)
-    depth = np.empty((n + 1, G, len(cover.sets)))
-    for t, P in enumerate(sys.orbit_span(grid, 0, n)):
-        depth[t] = cover.depth(sys, P)
-    member = depth > 0
-
-    itineraries = np.argmax(depth, axis=2).T          # (G, n+1)
-    cells, inverse = np.unique(itineraries, axis=0, return_inverse=True)
-    C = len(cells)
-    if C * G > budget.max_cells * 64:
-        raise GridError("join-cell coverage matrix exceeds budget")
-    coverage = np.empty((C, G), dtype=bool)
-    for ci, cell in enumerate(cells):
-        cov = member[0, :, cell[0]].copy()
-        for t in range(1, n + 1):
-            cov &= member[t, :, cell[t]]
-            if not cov.any():
-                break
-        coverage[ci] = cov
-
-    uncovered = np.ones(G, dtype=bool)
-    chosen = []
-    while uncovered.any():
-        gains = coverage[:, uncovered].sum(axis=1)
-        best = int(np.argmax(gains))
-        if gains[best] == 0:
-            raise RuntimeError("candidate cells cannot cover the grid: "
-                               "program error (itinerary cells cover their "
-                               "own points by construction)")
-        chosen.append(best)
-        uncovered &= ~coverage[best]
-
-    out = {"estimate": len(chosen), "n": n, "cells_considered": C,
-           "grid_size": G}
+    coverage = _join_coverage(sys, cover, grid, n, budget)
+    chosen = _greedy_cover(coverage)
+    out = {"estimate": len(chosen), "n": n, "cells_considered": len(coverage),
+           "grid_size": len(grid)}
     if delta is not None:
         net = shadowing_net(sys, n, delta / 2.0, budget)
         out["shadowing_bound"] = net["r_estimate"]
         out["bound_note"] = "c(U,n) <= r(n, delta/2) with delta the Lebesgue number"
     return out
+
+
+def _join_coverage(sys, cover, grid, n, budget):
+    """Boolean (cells, grid points) matrix of the join cells: the distinct
+    deepest-containment itineraries of the grid points, in lexicographic
+    order, each covering the points that lie in its set at every time."""
+    depth = np.empty((n + 1, len(grid), len(cover.sets)))
+    for t, P in enumerate(sys.orbit_span(grid, 0, n)):
+        depth[t] = cover.depth(sys, P)
+    member = np.ascontiguousarray((depth > 0).transpose(0, 2, 1))   # (n+1, sets, G)
+    # return_inverse keeps np.unique on its argsort path; the in-place sort
+    # it takes otherwise raises a process's peak RSS by about 1 MB
+    cells = np.unique(np.argmax(depth, axis=2).T, axis=0, return_inverse=True)[0]
+    if len(cells) * len(grid) > budget.max_cells * 64:
+        raise GridError("join-cell coverage matrix exceeds budget")
+    coverage = member[0, cells[:, 0]]
+    for t in range(1, n + 1):
+        coverage &= member[t, cells[:, t]]
+    return coverage
+
+
+def _greedy_cover(coverage):
+    """Rows picked, in order, by greedy set cover of the columns of a boolean
+    (rows, points) matrix: each pick covers the most uncovered points, the
+    lowest index among ties, as `np.argmax` over the current gains would.
+    Gains only fall, so a heap of stale gains keyed (-gain, index) holds
+    upper bounds, and a top entry whose recomputed gain equals its key is
+    that pick (accelerated greedy, Minoux 1978)."""
+    uncovered = np.ones(coverage.shape[1], dtype=bool)
+    left = coverage.shape[1]
+    heap = [(-g, c) for c, g in enumerate(np.count_nonzero(coverage, axis=1).tolist())]
+    heapq.heapify(heap)
+    chosen = []
+    while left:
+        key, c = heap[0]
+        gain = int(np.count_nonzero(coverage[c] & uncovered))
+        if gain < -key:
+            heapq.heapreplace(heap, (-gain, c))
+        elif gain == 0:
+            raise RuntimeError("candidate cells cannot cover the grid: "
+                               "program error (itinerary cells cover their "
+                               "own points by construction)")
+        else:
+            chosen.append(c)
+            uncovered &= ~coverage[c]
+            left -= gain
+    return chosen
 
 
 def inverse_limit_complexity_bound(level_curves, epsilon) -> ComplexityCurve:

@@ -141,13 +141,8 @@ def _candidate_pool(sys, x, delta, budget, rng):
     orbit = sys.orbit_span(np.asarray(x), -half, half)
     order = np.argsort(np.abs(np.arange(-half, half + 1)), kind="stable")
     pool = np.concatenate([orbit[order], sys.sample_block(rng, budget.max_candidates)])
-    keep = []
-    for i, p in enumerate(pool):
-        if sys.metric(p, x) < delta:
-            keep.append(i)
-            if len(keep) >= POOL_CAP:
-                break
-    return pool[keep]
+    near = sys.metric_block(pool, np.broadcast_to(x, pool.shape)) < delta
+    return pool[np.flatnonzero(near)[:POOL_CAP]]
 
 
 def rp_test(sys: SystemHandle, x, y, d, delta, budget: SearchBudget = DEFAULT_BUDGET):

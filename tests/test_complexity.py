@@ -5,11 +5,13 @@ import pytest
 
 from nillab.budgets import SearchBudget
 from nillab.complexity import (Ball, ComplexityCurve, Cover, CylinderUnion,
+                               _greedy_cover, _join_coverage, _time0_buckets,
                                classify_growth, complexity_curve,
                                cover_complexity, inverse_limit_complexity_bound,
-                               shadowing_net)
+                               shadowing_net, system_grid)
+from nillab.nilgroup import heisenberg3
 from nillab.systems import (GridError, make_fullshift, make_inverse_limit,
-                            make_rotation, make_skew_product)
+                            make_nilsystem, make_rotation, make_skew_product)
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -186,3 +188,142 @@ def test_tower_measured_below_product_bound():
                                SearchBudget(grid_divisor=(16.0, 4.0)),
                                classify=False)
     assert np.all(c_tower.rs() <= bound.rs())
+
+
+# -- the greedy kernels against the loops they replaced ------------------------
+
+
+def full_scan_net(sys, n, epsilon, grid):
+    """Reference net: every greedy step scans every unassigned grid point,
+    one metric call per time."""
+    G = len(grid)
+    orbits = sys.orbit_span(grid, 0, n)
+    time_order = [n, 0] + list(range(n - 1, 0, -1)) if n > 0 else [0]
+    assigned = np.full(G, -1, dtype=np.int64)
+    net = []
+    for i in range(G):
+        if assigned[i] >= 0:
+            continue
+        net.append(i)
+        cand = np.flatnonzero(assigned < 0)
+        for t in time_order:
+            keep = sys.metric_block(orbits[t][cand],
+                                    np.broadcast_to(orbits[t][i], orbits[t][cand].shape)
+                                    ) <= epsilon
+            cand = cand[keep]
+            if cand.size == 0:
+                break
+        assigned[cand] = i
+        assigned[i] = i
+    return np.array(net), assigned
+
+
+def assert_net_matches_full_scan(sys, n, eps, grid):
+    net = shadowing_net(sys, n, eps, grid=grid)
+    ref_net, ref_assigned = full_scan_net(sys, n, eps, grid)
+    assert np.array_equal(net["net_indices"], ref_net)
+    assert np.array_equal(net["assigned"], ref_assigned)
+    return net
+
+
+def cells_per_axis(sys, grid, eps):
+    return _time0_buckets(sys, sys.orbit_span(grid, 0, 0)[0], eps)[2]
+
+
+@pytest.mark.parametrize("alpha,n", [([GOLDEN], 7), ([GOLDEN, np.sqrt(2.0) - 1.0], 3)])
+def test_rotation_net_matches_full_scan(alpha, n):
+    rot = make_rotation(alpha)
+    grid = system_grid(rot, n, 0.1, SearchBudget(grid_divisor=4.0))
+    assert cells_per_axis(rot, grid, 0.1) == 9
+    assert_net_matches_full_scan(rot, n, 0.1, grid)
+
+
+@pytest.mark.parametrize("eps,n", [
+    (0.1, 1), (0.1, 4), (0.1, 14), (0.05, 4), (1.0 / 3.0, 4), (0.25, 4), (0.5, 4),
+    (np.nextafter(0.1, 0.0), 4), (np.nextafter(0.1, 1.0), 4)])
+def test_skew_net_matches_full_scan(eps, n):
+    skew = make_skew_product(GOLDEN)
+    grid = system_grid(skew, n, eps, SearchBudget(grid_divisor=(4.0, 4.0)))
+    assert cells_per_axis(skew, grid, eps) == max(1, int(1.0 / eps) - 1)
+    assert_net_matches_full_scan(skew, n, eps, grid)
+
+
+def test_non_torus_metrics_take_one_cell_and_match_full_scan():
+    rot, skew = make_rotation([GOLDEN]), make_skew_product(GOLDEN)
+    tower = make_inverse_limit([rot, skew], [lambda P: P[..., :1]])
+    nil = make_nilsystem(heisenberg3(), [GOLDEN, np.sqrt(2.0) / 2.0, 0.0])
+    for sys, n, eps, divisor in ((tower, 5, 0.3, (16.0, 4.0)), (nil, 2, 0.4, 4.0)):
+        grid = system_grid(sys, n, eps, SearchBudget(grid_divisor=divisor))
+        assert cells_per_axis(sys, grid, eps) == 1
+        assert_net_matches_full_scan(sys, n, eps, grid)
+
+
+def test_net_coordinate_exactly_one_joins_the_last_cell():
+    # -2^-60 % 1.0 rounds to exactly 1.0, which shadows 0.0 across the wrap
+    rot = make_rotation([GOLDEN])
+    grid = np.r_[0.0, -2.0 ** -60, (np.arange(40) + 0.5) / 40][:, None]
+    assert rot.orbit_span(grid, 0, 0)[0, 1, 0] == 1.0
+    net = assert_net_matches_full_scan(rot, 3, 0.1, grid)
+    assert net["assigned"][1] == 0
+
+
+def argmax_greedy(coverage):
+    """Reference greedy cover: np.argmax over every cell's exact gain at each
+    pick. The gains are kept by subtracting each pick's newly covered points,
+    the same integers a recount over the uncovered points gives."""
+    gains = coverage.sum(axis=1)
+    by_point = np.ascontiguousarray(coverage.T)
+    uncovered = np.ones(coverage.shape[1], dtype=bool)
+    chosen = []
+    while uncovered.any():
+        best = int(np.argmax(gains))
+        if gains[best] == 0:
+            raise RuntimeError("grid not coverable")
+        chosen.append(best)
+        newly = uncovered & coverage[best]
+        gains -= by_point[newly].sum(axis=0)
+        uncovered &= ~newly
+    return chosen
+
+
+def test_greedy_cover_matches_argmax_on_tied_matrices():
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        C, G = rng.integers(1, 40), rng.integers(1, 60)
+        coverage = rng.random((C, G)) < rng.uniform(0.05, 0.6)
+        # repeated rows and few points make equal gains common
+        coverage = coverage[rng.integers(0, C, size=C)]
+        coverage[rng.integers(0, C, size=G), np.arange(G)] = True
+        assert _greedy_cover(coverage) == argmax_greedy(coverage)
+    with pytest.raises(RuntimeError):
+        _greedy_cover(np.array([[True, False], [True, False]]))
+
+
+def loop_coverage(sys, cover, n, grid):
+    """Reference join-cell coverage: one row at a time, one time at a time."""
+    G = len(grid)
+    depth = np.empty((n + 1, G, len(cover.sets)))
+    for t, P in enumerate(sys.orbit_span(grid, 0, n)):
+        depth[t] = cover.depth(sys, P)
+    member = depth > 0
+    cells = np.unique(np.argmax(depth, axis=2).T, axis=0)
+    coverage = np.empty((len(cells), G), dtype=bool)
+    for ci, cell in enumerate(cells):
+        cov = member[0, :, cell[0]].copy()
+        for t in range(1, n + 1):
+            cov &= member[t, :, cell[t]]
+        coverage[ci] = cov
+    return coverage
+
+
+def test_cover_greedy_matches_argmax_on_cover_skew_fixture():
+    skew = make_skew_product(GOLDEN)
+    centers = [(0.25, 0.25), (0.25, 0.75), (0.75, 0.25), (0.75, 0.75)]
+    cover = Cover([Ball(c, 0.3) for c in centers], lebesgue_delta=0.05)
+    budget = SearchBudget(grid_divisor=(4.0, 4.0))
+    for n in range(1, 21):
+        grid = system_grid(skew, n, 0.05, budget)
+        coverage = _join_coverage(skew, cover, grid, n, budget)
+        if n in (1, 4, 12):
+            assert np.array_equal(coverage, loop_coverage(skew, cover, n, grid))
+        assert _greedy_cover(coverage) == argmax_greedy(coverage)

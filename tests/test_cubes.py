@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from nillab.budgets import SearchBudget
-from nillab.cubes import (Cube, FaceMove, RPWitness, apply_face, cube_criterion,
-                          rp_test, sample_cube, validate_rp_witness, vertex_set)
-from nillab.systems import make_fullshift, make_rotation, make_skew_product
+from nillab.cubes import (POOL_CAP, Cube, FaceMove, RPWitness, _candidate_pool,
+                          apply_face, cube_criterion, rp_test, sample_cube,
+                          validate_rp_witness, vertex_set)
+from nillab.nilgroup import heisenberg3
+from nillab.systems import (make_fullshift, make_nilsystem, make_rotation,
+                            make_skew_product)
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -188,7 +191,7 @@ def test_cube_criterion_d1_consistent_with_rp_style_search():
 
 
 def test_cube_criterion_fullshift_delta_finer_than_window():
-    # delta = 2^-12 needs agreement out to |j| <= 11, past the window L = 8
+    # delta = 2^-12 needs agreement out to |j| <= 12, past the window L = 8
     fsh = make_fullshift(2, L=8)
     x1 = fsh.construct_point([(-8, np.zeros(17, dtype=np.int8))])
     x2 = fsh.construct_point([(-8, np.ones(17, dtype=np.int8))])
@@ -214,3 +217,38 @@ def test_cube_criterion_fullshift_dyadic_delta():
         cube = sample_cube(fsh, np.array(res["base_point"], dtype=np.int8), res["n"])
         for eps, which in zip(vertex_set(1), key):
             assert fsh.metric(cube.point(eps), x1 if which == "1" else x2) < delta
+
+
+def one_by_one_pool(sys, x, delta, budget, rng):
+    """Reference candidate pool: one metric call per pool point."""
+    half = budget.max_candidates // 2
+    orbit = sys.orbit_span(np.asarray(x), -half, half)
+    order = np.argsort(np.abs(np.arange(-half, half + 1)), kind="stable")
+    pool = np.concatenate([orbit[order], sys.sample_block(rng, budget.max_candidates)])
+    keep = []
+    for i, p in enumerate(pool):
+        if sys.metric(p, x) < delta:
+            keep.append(i)
+            if len(keep) >= POOL_CAP:
+                break
+    return pool[keep]
+
+
+def test_candidate_pool_matches_one_call_per_point():
+    fsh = make_fullshift(2, L=8)
+    cases = [
+        (make_rotation([GOLDEN]), np.array([0.3]), 0.1),
+        (make_skew_product(GOLDEN), np.array([0.2, 0.7]), 0.05),
+        (make_nilsystem(heisenberg3(), [GOLDEN, np.sqrt(2.0) / 2.0, 0.0]),
+         np.array([0.2, 0.3, 0.4]), 0.2),
+        (fsh, fsh.sample_block(np.random.default_rng(1), 1)[0], 0.25),
+    ]
+    sizes = []
+    for sys, x, delta in cases:
+        budget = SearchBudget(seed=0)
+        pool = _candidate_pool(sys, x, delta, budget, np.random.default_rng(0))
+        ref = one_by_one_pool(sys, x, delta, budget, np.random.default_rng(0))
+        assert pool.dtype == ref.dtype and np.array_equal(pool, ref)
+        sizes.append(len(pool))
+    # both the cap and a partial pool are exercised
+    assert POOL_CAP in sizes and any(0 < k < POOL_CAP for k in sizes)

@@ -163,8 +163,8 @@ def test_sturmian_language_preconditions():
 
 
 def test_fullshift_ball_finer_than_window_uses_the_whole_run():
-    # radius 2^-12 pins |j| <= 11, past the window L = 8: the runs of the two
-    # balls at times 0 and 17 overlap on offsets 6..11 and disagree there
+    # radius 2^-12 pins |j| <= 12, past the window L = 8: the runs of the two
+    # balls at times 0 and 17 overlap on offsets 5..12 and disagree on 9..12
     fsh = make_fullshift(2, L=8)
     x1 = fsh.construct_point([(-8, np.zeros(17, dtype=np.int8))])
     x2 = fsh.construct_point([(-8, np.ones(17, dtype=np.int8))])
