@@ -84,26 +84,25 @@ def birkhoff(sys: SystemHandle, f, x, n_grid=None, n_max=None,
                         oscillation=osc, tail_from=tail_from)
 
 
-def coordinate_cos(index, label=None):
+def coordinate_cos(index):
     """Observable cos(2 pi x_index), the basic character along one coordinate."""
     f = lambda P: np.cos(2.0 * np.pi * np.asarray(P, dtype=float)[..., index])
-    f.observable_id = label or ("cos2pi[%d]" % index)
+    f.observable_id = "cos2pi[%d]" % index
     return f
 
 
-def coordinate(index, label=None):
+def coordinate(index):
     f = lambda P: np.asarray(P, dtype=float)[..., index]
-    f.observable_id = label or ("coord[%d]" % index)
+    f.observable_id = "coord[%d]" % index
     return f
 
 
-def unique_ergodicity_probe(sys: SystemHandle, observables, starts, n_max,
-                            eta=0.01):
+def unique_ergodicity_probe(sys: SystemHandle, observables, starts, n_max):
     """Spread of tail averages across starting points, per observable.
 
     A uniquely ergodic system drives all starts to the same average; the
-    probe reports the worst spread and a verdict at resolution eta. This is
-    finite evidence, not a certificate.
+    probe reports the worst spread and a verdict at resolution eta = 0.01.
+    This is finite evidence, not a certificate.
     """
     if len(observables) < 3 or len(starts) < 3:
         raise ValueError("need at least 3 observables and 3 starts")
@@ -118,6 +117,7 @@ def unique_ergodicity_probe(sys: SystemHandle, observables, starts, n_max,
             finals.append(tr.final())
         spreads[fid] = float(max(finals) - min(finals))
     worst = max(spreads.values())
+    eta = 0.01
     verdict = ("consistent with unique ergodicity at resolution %g" % eta
                if worst <= eta else "start-dependent averages detected")
     return {"spreads": spreads, "max_spread": worst, "eta": eta,

@@ -68,11 +68,9 @@ def parse_descriptor(text):
     return name.strip(), params
 
 
-def _vector(params, key, default=None):
+def _vector(params, key):
     if key not in params:
-        if default is None:
-            raise ConfigError("descriptor needs %s=..." % key)
-        return default
+        raise ConfigError("descriptor needs %s=..." % key)
     return [_num(t) for t in params[key].split("/")]
 
 
@@ -326,10 +324,9 @@ def _parse_observable(text):
 # -- argument plumbing -----------------------------------------------------------
 
 
-def _add_common(sp, need_system=True):
-    if need_system:
-        sp.add_argument("--system", required=False,
-                        help="descriptor like rotation:alpha=golden")
+def _add_common(sp):
+    sp.add_argument("--system", required=False,
+                    help="descriptor like rotation:alpha=golden")
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--n-range", dest="n_range", type=int, default=100)
     sp.add_argument("--candidates", type=int, default=1000)

@@ -173,12 +173,12 @@ def coboundary_prefix_residuals(alpha, coeffs, grid=1000):
 # -- resonant frequency recipe ----------------------------------------------
 
 
-def liouville_recipe(K=30, block=5, a1=7):
+def liouville_recipe(K=30):
     """Rotation number and frequencies with forced resonances.
 
     Builds continued-fraction denominators q_1, q_2, ... with
     a_{j+1} = 8 * 2^(block*j) * q_j^3 + 1, so q_{j+1} > 2 pi 2^(block*j) q_j^4,
-    and uses n_k = q_j on the j-th block of k values. Then
+    and uses n_k = q_j on the j-th block of block = 5 values of k. Then
 
         |cis(n_k alpha) - 1| <= 2 pi dist(n_k alpha, Z) <= 2^-k / n_k^4
 
@@ -190,10 +190,10 @@ def liouville_recipe(K=30, block=5, a1=7):
     exponentially, so reusing one q per block keeps the largest frequency
     around 10^5000 for K = 30 instead of astronomically unrepresentable.
 
-    a1 sets the first denominator and hence the slowest resonance: the first
-    harmonic block drifts with period about q_2 ~ 8 * 2^block * a1^4 steps.
-    The default puts that period near 10^6 so desk-scale averages visibly
-    fail to settle.
+    a1 = 7 sets the first denominator and hence the slowest resonance: the
+    first harmonic block drifts with period about q_2 ~ 8 * 2^block * a1^4
+    steps. That period is near 10^6, so desk-scale averages visibly fail to
+    settle.
 
     Practical ceiling: denominator digits grow fourfold per block, and bigint
     division is quadratic, so K beyond ~40 (8 blocks) makes phase evaluation
@@ -203,11 +203,11 @@ def liouville_recipe(K=30, block=5, a1=7):
     if K > 40:
         raise ValueError("recipe denominators beyond K = 40 are computationally "
                          "impractical; use moderate frequencies for large K")
+    block, a = 5, 7
     blocks = (K + block - 1) // block
     p_prev, p_cur = 1, 0   # convergents of [0; a1, a2, ...]
     q_prev, q_cur = 0, 1
     qs = []
-    a = int(a1)
     for j in range(blocks + 1):
         p_prev, p_cur = p_cur, a * p_cur + p_prev
         q_prev, q_cur = q_cur, a * q_cur + q_prev
@@ -247,9 +247,9 @@ def validate_resonances(alpha, coeffs):
     return {"ok": all(r["ok"] for r in report), "per_k": report}
 
 
-def make_default_furstenberg(K=30, lam=1.0, block=5):
+def make_default_furstenberg(K=30, lam=1.0):
     """Skew product from the resonant recipe, validated at load."""
-    alpha, coeffs = liouville_recipe(K=K, block=block)
+    alpha, coeffs = liouville_recipe(K=K)
     check = validate_resonances(alpha, coeffs)
     if not check["ok"]:
         raise ValueError("liouville recipe failed its resonance bound: %s" % check)

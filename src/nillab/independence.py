@@ -85,10 +85,11 @@ class IndependenceReport:
 # -- the checker ---------------------------------------------------------------
 
 
-def _targets_partition(arc_sets, tol=1e-9):
-    if abs(sum(a.measure() for a in arc_sets) - 1.0) > tol:
+def _targets_partition(arc_sets):
+    """Whether the arc sets tile the circle, up to 1e-9 in measure."""
+    if abs(sum(a.measure() for a in arc_sets) - 1.0) > 1e-9:
         return False
-    return all(a.intersect(b).measure() <= tol
+    return all(a.intersect(b).measure() <= 1e-9
                for a, b in itertools.combinations(arc_sets, 2))
 
 

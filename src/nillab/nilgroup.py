@@ -61,22 +61,18 @@ class NilGroup:
     def mul_block(self, t, u):
         t = np.asarray(t, dtype=float)
         u = np.asarray(u, dtype=float)
-        shape = np.broadcast_shapes(t.shape, u.shape)
-        out = np.empty(shape)
-        np.add(np.broadcast_to(t, shape), np.broadcast_to(u, shape), out=out)
-        for i in range(1, self.dim):
-            p = self.mul_polys[i - 1]
+        out = t + u
+        for i, p in enumerate(self.mul_polys, 1):
             if p.terms:
-                out[..., i] += p(t[..., :i], u[..., :i])
+                out[..., i] += p(t, u)
         return out
 
     def inv_block(self, t):
         t = np.asarray(t, dtype=float)
         out = -t
-        for i in range(1, self.dim):
-            q = self.inv_polys[i - 1]
+        for i, q in enumerate(self.inv_polys, 1):
             if q.terms:
-                out[..., i] += q(t[..., :i])
+                out[..., i] += q(t)
         return out
 
     def identity_coords(self):
@@ -201,11 +197,10 @@ def power_sequence(g: GroupElement, count: int):
     base = g.coords
     n = np.arange(count)
     out[:, 0] = n * base[0]
-    for i in range(1, m):
+    for i, p in enumerate(grp.mul_polys, 1):
         incr = np.full(count - 1, base[i])
-        p = grp.mul_polys[i - 1]
         if p.terms:
-            incr = incr + p(out[:-1, :i], np.broadcast_to(base[:i], (count - 1, i)))
+            incr = incr + p(out[:-1], base)
         out[1:, i] = np.cumsum(incr)
     return out
 
@@ -261,7 +256,7 @@ def named_group(name: str) -> NilGroup:
     raise GroupLawError("unknown built-in group %r" % name)
 
 
-def load_group(path_or_name: str, validate=True, seed=0) -> NilGroup:
+def load_group(path_or_name: str, validate=True) -> NilGroup:
     """Built-in group by name, or a JSON group-law file."""
     try:
         grp = named_group(path_or_name)
@@ -276,15 +271,17 @@ def load_group(path_or_name: str, validate=True, seed=0) -> NilGroup:
             name=str(doc.get("name", path_or_name)),
         )
     if validate:
-        report = validate_group(grp, seed=seed)
+        report = validate_group(grp)
         if not report["ok"]:
             raise GroupLawError("group law failed validation: %s" % report)
     return grp
 
 
-def validate_group(grp: NilGroup, samples=200, seed=0, tol=1e-9, box=4.0):
+def validate_group(grp: NilGroup, seed=0):
     """Randomized group-axiom check: identity, inverses, associativity,
-    triangular dependence and integer closure of the lattice."""
+    triangular dependence and integer closure of the lattice: 200 rows drawn
+    from [-4, 4)^m, and every error must be at most 1e-9."""
+    samples, tol, box = 200, 1e-9, 4.0
     rng = np.random.default_rng(seed)
     t = rng.uniform(-box, box, size=(samples, grp.dim))
     u = rng.uniform(-box, box, size=(samples, grp.dim))

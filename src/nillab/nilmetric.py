@@ -178,11 +178,11 @@ def _children(grp: NilGroup, i, gammas, state, a, b):
     z = y + gammas
     if i and grp.mul_polys[i - 1].terms:
         # one call for y gamma, x z^-1 and z x^-1: (y, x, z) against (gamma, z^-1, x^-1)
-        pz, pa, pb = grp.mul_polys[i - 1](state[:, 0:3, :i], state[:, 3:6, :i]).T
+        pz, pa, pb = grp.mul_polys[i - 1](state[:, 0:3], state[:, 3:6]).T
         z += pz[:, None]
     w = -z
     if i and grp.inv_polys[i - 1].terms:
-        w += grp.inv_polys[i - 1](state[:, 2, :i])[:, None]
+        w += grp.inv_polys[i - 1](state[:, 2])[:, None]
     A = x + w
     B = z + ix
     if pa is not None:

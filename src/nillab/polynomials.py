@@ -8,32 +8,23 @@ Evaluation is vectorized over arbitrary leading axes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-
-@dataclass(frozen=True)
-class Monomial:
-    coeff: float
-    t_exps: tuple[int, ...]
-    u_exps: tuple[int, ...]
-
-    def arity(self) -> int:
-        t_hi = max((i + 1 for i, e in enumerate(self.t_exps) if e), default=0)
-        u_hi = max((i + 1 for i, e in enumerate(self.u_exps) if e), default=0)
-        return max(t_hi, u_hi)
-
 
 class SparsePoly:
-    """Sum of monomials c * t^a * u^b with nonnegative integer exponents."""
+    """Sum of terms c * t^a * u^b with nonnegative integer exponents.
+
+    `terms` holds (coeff, t_exps, u_exps) triples, each planned once, when the
+    polynomial is built, as (coeff, factors): one (is_u, index, exponent)
+    factor per nonzero exponent, t factors before u, each in index order.
+    """
 
     def __init__(self, terms=()):
-        self.terms = tuple(
-            t if isinstance(t, Monomial) else Monomial(float(t[0]), tuple(t[1]), tuple(t[2]))
-            for t in terms
-        )
-        self.arity = max((t.arity() for t in self.terms), default=0)
+        self.terms = tuple((float(c), tuple(int(e) for e in a), tuple(int(e) for e in b))
+                           for c, a, b in terms)
+        self.plan = tuple(
+            (c, tuple((False, i, e) for i, e in enumerate(a) if e)
+             + tuple((True, i, e) for i, e in enumerate(b) if e))
+            for c, a, b in self.terms)
+        self.arity = max((i + 1 for _, factors in self.plan for _, i, _ in factors), default=0)
 
     def __repr__(self):
         if not self.terms:
@@ -41,26 +32,19 @@ class SparsePoly:
         return "SparsePoly(%d terms, arity %d)" % (len(self.terms), self.arity)
 
     def __call__(self, t, u=None):
-        """Evaluate on coordinate arrays of shape (..., r) with r >= arity."""
-        t = np.asarray(t, dtype=float)
-        u = None if u is None else np.asarray(u, dtype=float)
-        shape = t.shape[:-1] if u is None else np.broadcast_shapes(t.shape[:-1], u.shape[:-1])
-        out = np.zeros(shape)
-        for mono in self.terms:
-            term = np.full(shape, mono.coeff)
-            for i, e in enumerate(mono.t_exps):
-                if e:
-                    term = term * (t[..., i] ** e if e > 1 else t[..., i])
-            for i, e in enumerate(mono.u_exps):
-                if e:
-                    if u is None:
-                        raise ValueError("polynomial uses u-variables but no u supplied")
-                    term = term * (u[..., i] ** e if e > 1 else u[..., i])
+        """Evaluate on float arrays (..., r), reading indices below the arity:
+        each term is coeff times its factors left to right (x ** e for e > 1),
+        added onto 0.0 in stored order."""
+        out = 0.0
+        for term, factors in self.plan:
+            for is_u, i, e in factors:
+                x = (u if is_u else t)[..., i]
+                term = term * (x ** e if e > 1 else x)
             out = out + term
         return out
 
     def uses_u(self) -> bool:
-        return any(any(e for e in t.u_exps) for t in self.terms)
+        return any(is_u for _, factors in self.plan for is_u, _, _ in factors)
 
     @staticmethod
     def zero() -> "SparsePoly":
@@ -68,20 +52,12 @@ class SparsePoly:
 
     @staticmethod
     def from_json(obj) -> "SparsePoly":
-        terms = [
-            Monomial(float(d["coeff"]), tuple(int(e) for e in d.get("t_exps", [])),
-                     tuple(int(e) for e in d.get("u_exps", [])))
-            for d in obj
-        ]
-        return SparsePoly(terms)
+        return SparsePoly((d["coeff"], d.get("t_exps", []), d.get("u_exps", [])) for d in obj)
 
     def to_json(self):
-        return [
-            {"coeff": t.coeff, "t_exps": list(t.t_exps), "u_exps": list(t.u_exps)}
-            for t in self.terms
-        ]
+        return [{"coeff": c, "t_exps": list(a), "u_exps": list(b)} for c, a, b in self.terms]
 
 
 def monomial(coeff, t_exps=(), u_exps=()) -> SparsePoly:
     """Single-term polynomial, convenient for building group laws in code."""
-    return SparsePoly([Monomial(float(coeff), tuple(t_exps), tuple(u_exps))])
+    return SparsePoly([(coeff, t_exps, u_exps)])

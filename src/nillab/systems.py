@@ -82,15 +82,15 @@ def _translation(alpha):
     return orbit
 
 
-def approx_rational(x, max_den=10 ** 4, tol=1e-12):
-    """Small-denominator rational hiding in a float, or None.
+def approx_rational(x):
+    """Fraction with denominator at most 10^4 within 1e-12 of the float, or None.
 
-    Denominators are capped low enough that strongly approximable irrationals
-    (the golden ratio's convergents reach 1e-12 accuracy around q ~ 1e6) do
-    not get misflagged.
+    The cap is low enough that strongly approximable irrationals (the golden
+    ratio's convergents reach 1e-12 accuracy around q ~ 1e6) do not get
+    misflagged.
     """
-    frac = Fraction(float(x)).limit_denominator(max_den)
-    if abs(float(frac) - float(x)) <= tol:
+    frac = Fraction(float(x)).limit_denominator(10 ** 4)
+    if abs(float(frac) - float(x)) <= 1e-12:
         return frac
     return None
 
@@ -382,6 +382,8 @@ def make_fullshift(k, L=8, reserve=128) -> SystemHandle:
 
     Sampled points are random on the window [-L, L] and 0 outside; the stored
     range gives an exact shift for up to `reserve` steps in each direction.
+    Orbit row t is T^t x on the stored range, with x read as 0 outside it;
+    only compositions of steps that push symbols past the range lose them.
     """
     if k < 2:
         raise ValueError("alphabet size must be >= 2")
@@ -421,13 +423,10 @@ def make_fullshift(k, L=8, reserve=128) -> SystemHandle:
         return out
 
     def orbit(X, lo, hi):
-        # the orbit iterated from T^lo x: a backward jump pushes the last |lo|
-        # symbols off the stored range, and later forward steps refill zeros
+        # row t is the stored range of T^t x, with x zero outside that range
         left, right = max(-lo, 0), max(hi, 0)
         padded = np.zeros(X.shape[:-1] + (left + width + right,), dtype=X.dtype)
         padded[..., left:left + width] = X
-        if lo < 0:
-            padded[..., max(left + width + lo, left):left + width] = 0
         windows = np.lib.stride_tricks.sliding_window_view(padded, width, axis=-1)
         return np.moveaxis(windows[..., left + lo:left + hi + 1, :], -2, 0).copy()
 

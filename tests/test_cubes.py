@@ -252,3 +252,12 @@ def test_candidate_pool_matches_one_call_per_point():
         sizes.append(len(pool))
     # both the cap and a partial pool are exercised
     assert POOL_CAP in sizes and any(0 < k < POOL_CAP for k in sizes)
+
+
+def test_fullshift_pool_holds_orbit_points_past_the_stored_range():
+    # the default budget spans T^-500 x .. T^500 x, past the stored range [-136, 136]
+    fsh = make_fullshift(2, L=8)
+    x = fsh.sample_block(np.random.default_rng(4), 1)[0]
+    assert np.array_equal(fsh.orbit_span(x, -500, 500)[500], x)
+    pool = _candidate_pool(fsh, x, 0.05, SearchBudget(seed=0), np.random.default_rng(0))
+    assert any(np.array_equal(p, x) for p in pool)

@@ -1,6 +1,7 @@
 """Group arithmetic against the 3x3 unipotent matrix oracle."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,3 +201,128 @@ def test_degenerate_circle_group():
     assert np.allclose(mul(a, b).coord, [1.3])
     frac, lat = factorize(mul(a, b))
     assert np.allclose(frac.coord, [0.3]) and lat.coord == (1.0,)
+
+
+# -- the planned evaluator against the per-call term loop it replaced ----------
+
+def term_loop(poly, t, u=None):
+    """Reference evaluator: one np.full per term, on the broadcast shape."""
+    t = np.asarray(t, dtype=float)
+    u = None if u is None else np.asarray(u, dtype=float)
+    shape = t.shape[:-1] if u is None else np.broadcast_shapes(t.shape[:-1], u.shape[:-1])
+    out = np.zeros(shape)
+    for coeff, t_exps, u_exps in poly.terms:
+        term = np.full(shape, coeff)
+        for x, exps in ((t, t_exps), (u, u_exps)):
+            for i, e in enumerate(exps):
+                if e:
+                    term = term * (x[..., i] ** e if e > 1 else x[..., i])
+        out = out + term
+    return out
+
+
+def loop_mul(grp, t, u):
+    t = np.asarray(t, dtype=float)
+    u = np.asarray(u, dtype=float)
+    shape = np.broadcast_shapes(t.shape, u.shape)
+    out = np.empty(shape)
+    np.add(np.broadcast_to(t, shape), np.broadcast_to(u, shape), out=out)
+    for i in range(1, grp.dim):
+        p = grp.mul_polys[i - 1]
+        if p.terms:
+            out[..., i] += term_loop(p, t[..., :i], u[..., :i])
+    return out
+
+
+def loop_inv(grp, t):
+    t = np.asarray(t, dtype=float)
+    out = -t
+    for i in range(1, grp.dim):
+        q = grp.inv_polys[i - 1]
+        if q.terms:
+            out[..., i] += term_loop(q, t[..., :i])
+    return out
+
+
+def loop_reduce(grp, t):
+    f = np.array(t, dtype=float)
+    ns = np.zeros(f.shape, dtype=np.int64)
+    peel = np.zeros(f.shape)
+    for i in range(grp.dim):
+        n_i = np.floor(f[..., i])
+        frac_i = f[..., i] - n_i
+        bump = frac_i >= 1.0
+        n_i = n_i + bump
+        ns[..., i] = n_i
+        peel[...] = 0.0
+        peel[..., i] = -n_i
+        f = loop_mul(grp, f, peel)
+        f[..., i] = np.where(bump, frac_i - 1.0, frac_i)
+    return f, ns
+
+
+def loop_power_sequence(grp, base, count):
+    out = np.zeros((count, grp.dim))
+    if count == 0:
+        return out
+    out[:, 0] = np.arange(count) * base[0]
+    for i in range(1, grp.dim):
+        incr = np.full(count - 1, base[i])
+        p = grp.mul_polys[i - 1]
+        if p.terms:
+            incr = incr + term_loop(p, out[:-1, :i],
+                                    np.broadcast_to(base[:i], (count - 1, i)))
+        out[1:, i] = np.cumsum(incr)
+    return out
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("grp", [
+    H, abelian(1), abelian(2),
+    load_group(str(Path(__file__).parent / "golden" / "filiform4.json")),
+], ids=lambda g: g.name)
+def test_planned_law_matches_the_term_loop(grp):
+    m = grp.dim
+    rng = np.random.default_rng(17)
+    T = rng.uniform(-6, 6, (300, m))
+    U = rng.uniform(-6, 6, (300, m))
+    zeros = np.zeros((4, m))
+    zeros[1] = -0.0
+    zeros[2, ::2] = -0.0
+    blocks = [
+        (T, U),
+        (zeros, zeros[::-1]),                       # rows of -0.0 and +0.0
+        (-zeros, np.vstack([T[:2], zeros[:2]])),
+        (T[:6, None, :], U[None, :5, :]),            # mixed broadcast shapes
+        (T[0], U[:3]),
+        (T[0], U[0]),                                # a single row
+        (T[:0], U[:0]),                              # an empty block
+    ]
+    for t, u in blocks:
+        assert same_bits(grp.mul_block(t, u), loop_mul(grp, t, u))
+        assert same_bits(grp.mul_block(u, t), loop_mul(grp, u, t))
+        assert same_bits(grp.inv_block(t), loop_inv(grp, t))
+        for x in (t, u):
+            frac, ns = grp.reduce_block(x)
+            want_frac, want_ns = loop_reduce(grp, x)
+            assert same_bits(frac, want_frac) and np.array_equal(ns, want_ns)
+    for base in (*T[:4] * 0.1, -np.zeros(m), zeros[2]):
+        for count in (0, 1, 2, 200):
+            assert same_bits(power_sequence(element(grp, base), count),
+                             loop_power_sequence(grp, base, count))
+
+
+def test_planned_poly_matches_the_term_loop():
+    # coefficients that are not powers of two, so factor and term order show
+    poly = SparsePoly([(0.3, (1, 2), (2, 0, 1)), (-1.7, (0, 0, 3), (1,)), (2.9, (), (0, 1))])
+    rng = np.random.default_rng(23)
+    t = rng.uniform(-3, 3, (50, 3))
+    u = rng.uniform(-3, 3, (50, 3))
+    assert same_bits(poly(t, u), term_loop(poly, t, u))
+    assert same_bits(poly(t[:, None], u[None, :7]), term_loop(poly, t[:, None], u[None, :7]))
+    assert poly.arity == 3 and poly.uses_u()
+    assert not SparsePoly([(1.0, (1, 1), ())]).uses_u()

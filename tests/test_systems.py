@@ -261,13 +261,16 @@ def test_fullshift_orbit_is_iterated_steps():
     sys = make_fullshift(2, L=6, reserve=8)
     X = sample_points(sys, 4, seed=2)
     X[:, -3:] = 1                       # symbols at the edge of the stored range
+    width, pad = X.shape[-1], 40
+    padded = np.zeros((len(X), pad + width + pad), dtype=X.dtype)
+    padded[:, pad:pad + width] = X
     for lo, hi in ((-5, 9), (-30, -2), (0, 25), (4, 12)):
-        ref = []
-        p = X
-        for _ in range(abs(lo)):
-            p = sys.inverse_step_block(p) if lo < 0 else sys.step_block(p)
-        ref.append(p)
-        for _ in range(hi - lo):
-            p = sys.step_block(p)
-            ref.append(p)
+        # row t is x shifted by t, with x zero outside its stored range
+        ref = [padded[:, pad + t:pad + t + width] for t in range(lo, hi + 1)]
         assert np.array_equal(sys.orbit_span(X, lo, hi), np.stack(ref))
+    # stepping x one way, forward or back, walks the same rows
+    fwd = back = X
+    for t in range(1, 31):
+        fwd, back = sys.step_block(fwd), sys.inverse_step_block(back)
+        assert np.array_equal(fwd, padded[:, pad + t:pad + t + width])
+        assert np.array_equal(back, padded[:, pad - t:pad - t + width])
