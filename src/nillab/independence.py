@@ -20,7 +20,6 @@ nillab.targets); a route applies when every target of the tuple has its form.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -158,17 +157,25 @@ def _pattern_report(F, k, witness, exact, note):
         note=note if exact or failures else "")
 
 
+def _refuted_by_counting(n_patterns, n_times, boundaries):
+    """Whether a partition coding cannot realize all patterns on n_times
+    times: its cuts split the circle into at most |boundaries| * n_times
+    cells, each coding one pattern."""
+    return n_patterns > len(boundaries) * n_times
+
+
 def _check_exact_partition(sys, arcs, F, n_patterns, boundaries):
     """Realized patterns of a partition coding, via boundary cuts.
 
     Every point of an arc between consecutive cut points produces the same
     pattern, and every realizable pattern has interior, so coding one midpoint
-    per arc enumerates the realized set exactly. Before cutting, a counting
-    bound applies: at most (#cuts) patterns are realizable at all, so a
-    pattern count beyond |boundaries| * |F| is refuted outright.
+    per arc enumerates the realized set exactly. The counting bound of
+    `_refuted_by_counting` refutes without cutting only above 4096 patterns,
+    so that smaller sets keep an exact realized count; `find_ip_independence`
+    applies the same bound to every tuple before building its time set.
     """
     alpha = sys.coding.alpha
-    if n_patterns > len(boundaries) * len(F) and n_patterns > 4096:
+    if _refuted_by_counting(n_patterns, len(F), boundaries) and n_patterns > 4096:
         # refuted by counting alone; skip enumerating the realized set
         return IndependenceReport(
             F=F, verified=False, method="exact-language", exact=True,
@@ -223,7 +230,6 @@ def _check_exact_constraints(sys, cons, F, k):
     realizable iff all its pairs are compatible, and all patterns are
     realizable iff all target pairs are compatible at all time-offset pairs.
     """
-    @functools.lru_cache(maxsize=None)
     def compatible_at(diff, i1, i2):
         # conflict depends only on the time difference j2 - j1
         off1, sym1 = cons[i1]
@@ -234,13 +240,14 @@ def _check_exact_constraints(sys, cons, F, k):
         b = sym2[lo - diff - off2: hi - diff - off2]
         return lo >= hi or bool(np.all(a == b))
 
-    bad = next(((j1, i1 + 1, j2, i2 + 1) for j1, j2 in itertools.combinations(F, 2)
-                for i1, i2 in itertools.product(range(k), repeat=2)
-                if not compatible_at(j2 - j1, i1, i2)), None)
+    # each distinct time difference once: its first conflicting symbol pair
+    first = {diff: next(((s1, s2) for s1, s2 in itertools.product(range(1, k + 1), repeat=2)
+                         if not compatible_at(diff, s1 - 1, s2 - 1)), None)
+             for diff in {j2 - j1 for j1, j2 in itertools.combinations(F, 2)}}
 
     n_patterns = k ** len(F)
-    witnesses = {}
-    if bad is None:
+    if not any(first.values()):
+        witnesses = {}
         tried = min(n_patterns, 64)
         for pat in itertools.islice(itertools.product(range(1, k + 1),
                                                       repeat=len(F)), tried):
@@ -259,11 +266,14 @@ def _check_exact_constraints(sys, cons, F, k):
             F=F, verified=True, method="exact-language", exact=True,
             witnesses=witnesses, patterns_checked=n_patterns,
             realized_patterns=n_patterns, note=note)
-    pat = tuple(bad[1] if j == bad[0] else (bad[3] if j == bad[2] else 1) for j in F)
+    # the first time pair, in combinations order, at a conflicting difference
+    j1, j2, s1, s2 = next((j1, j2) + first[j2 - j1]
+                          for j1, j2 in itertools.combinations(F, 2) if first[j2 - j1])
+    pat = tuple(s1 if j == j1 else (s2 if j == j2 else 1) for j in F)
     return IndependenceReport(
         F=F, verified=False, method="exact-language", exact=True,
         failures=[pat], patterns_checked=n_patterns, realized_patterns=0,
-        note="conflicting constraints at times %d and %d" % (bad[0], bad[2]))
+        note="conflicting constraints at times %d and %d" % (j1, j2))
 
 
 def _sampled_witness(sys, sets, F, k, budget):
@@ -304,8 +314,20 @@ def find_ip_independence(sys: SystemHandle, sets: SetTuple, m, gen_bound,
     scanned = 0
     patterns_checked = 0
     ctx = _route_context(sys, sets)
+    partition = ctx["route"] == "partition"
+    k = sets.k
     for gens in itertools.combinations_with_replacement(range(1, gen_bound + 1), m):
         scanned += 1
+        if partition:
+            # |{0} u FS(gens)|: bit s of reach is set iff s is a subset sum
+            reach = 1
+            for g in gens:
+                reach |= reach << g
+            n_times = reach.bit_count()
+            n_patterns = k ** n_times
+            if _refuted_by_counting(n_patterns, n_times, ctx["boundaries"]):
+                patterns_checked += n_patterns
+                continue
         ip = fs_set(gens)
         rep = check_independence(sys, sets, (0,) + ip.elements, budget, _ctx=ctx)
         patterns_checked += rep.patterns_checked
@@ -354,4 +376,4 @@ def sturmian_language(alpha, n):
     cuts = (-np.arange(0, n + 1) * float(alpha)) % 1.0
     mids = cut_midpoints(cuts)
     words = coding.symbols_block(mids, np.arange(n))
-    return {tuple(int(s) for s in row) for row in words}
+    return set(map(tuple, words.tolist()))

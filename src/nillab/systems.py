@@ -408,19 +408,21 @@ def make_fullshift(k, L=8, reserve=128) -> SystemHandle:
     def construct_point(constraints):
         """Point holding the given symbol runs; None on conflict or overflow."""
         out = np.zeros(width, dtype=np.int8)
-        fixed = np.zeros(width, dtype=bool)
-        for offset, symbols in constraints:
-            symbols = np.asarray(symbols, dtype=np.int8)
-            start = center + int(offset)
-            stop = start + symbols.size
-            if start < 0 or stop > width:
-                return None
-            seen = fixed[start:stop]
-            if np.any(seen & (out[start:stop] != symbols)):
-                return None
-            out[start:stop] = symbols
-            fixed[start:stop] = True
-        return out
+        runs = [(center + int(offset), np.asarray(symbols, dtype=np.int8).ravel())
+                for offset, symbols in constraints]
+        if any(start < 0 or start + run.size > width for start, run in runs):
+            return None
+        if not runs:
+            return out
+        starts = np.array([start for start, _ in runs])
+        sizes = np.array([run.size for _, run in runs])
+        # one scatter of the concatenated runs (entry i of a run lands at its
+        # start + i); a position two runs disagree on keeps only one of their
+        # symbols, so the read-back differs there
+        pos = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
+        symbols = np.concatenate([run for _, run in runs])
+        out[pos] = symbols
+        return out if np.array_equal(out[pos], symbols) else None
 
     def orbit(X, lo, hi):
         # row t is the stored range of T^t x, with x zero outside that range

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from nillab.budgets import SearchBudget
-from nillab.independence import (Ball, Cylinder, SetTuple, check_independence,
-                                 find_ip_independence, fs_set,
+from nillab.independence import (Ball, Cylinder, SetTuple, _route_context,
+                                 check_independence, find_ip_independence, fs_set,
                                  independence_ladder, sturmian_language)
 from nillab.systems import (make_fullshift, make_rotation, make_skew_product,
                             make_sturmian, sturmian_coding)
@@ -203,3 +203,118 @@ def test_constraint_witnesses_past_the_stored_range_are_counted():
     assert rep.note == ("pairwise constraint compatibility certifies all patterns; "
                         "4 of 4 witnesses not built: their runs reach past the "
                         "stored range [-136, 136]")
+
+
+# -- parity of the scan and the constraint route with their per-tuple forms --------
+
+
+def _scan_per_tuple(sys, sets, m, gen_bound):
+    """The scan with `fs_set` and `check_independence` on every tuple, and no
+    counting refutation ahead of them: the oracle of `find_ip_independence`."""
+    scanned = 0
+    patterns_checked = 0
+    for gens in itertools.combinations_with_replacement(range(1, gen_bound + 1), m):
+        scanned += 1
+        ip = fs_set(gens)
+        rep = check_independence(sys, sets, (0,) + ip.elements)
+        patterns_checked += rep.patterns_checked
+        if rep.verified:
+            return ip, {"status": "witness", "generators": list(gens),
+                        "scanned": scanned, "patterns_checked": patterns_checked,
+                        "method": rep.method, "exact": rep.exact}
+    return None, {"status": "exhausted", "scanned": scanned,
+                  "patterns_checked": patterns_checked,
+                  "note": "finite scan evidence only; exhaustion is not a "
+                          "certificate of nullness"}
+
+
+def _assert_scans_agree(sys, sets, cases):
+    for m, B in cases:
+        assert find_ip_independence(sys, sets, m, B) == _scan_per_tuple(sys, sets, m, B), (m, B)
+
+
+def test_scan_matches_per_tuple_checks_on_sturmian_cylinders():
+    stu = make_sturmian(GOLDEN, L=16)
+    _assert_scans_agree(stu, BINARY, [(1, 12), (2, 12), (3, 8), (4, 6)])
+    # m >= 2 is refuted by counting: 2^|F| patterns, at most 2|F| cells
+    _, rep = find_ip_independence(stu, BINARY, 2, 15)
+    assert rep["patterns_checked"] == 1800
+
+
+def test_scan_matches_per_tuple_checks_on_a_three_arc_partition():
+    rot = make_rotation([GOLDEN])
+    sets = SetTuple((Ball((0.125,), 0.125), Ball((0.5,), 0.25), Ball((0.875,), 0.125)))
+    ctx = _route_context(rot, sets)
+    assert ctx["route"] == "partition" and len(ctx["boundaries"]) == 3
+    _assert_scans_agree(rot, sets, [(1, 12), (2, 8), (3, 5)])
+
+
+def test_scan_matches_per_tuple_checks_off_the_partition_route():
+    rot = make_rotation([GOLDEN])
+    overlap = SetTuple((Ball((0.2,), 0.3), Ball((0.45,), 0.3)))
+    assert _route_context(rot, overlap)["route"] == "arcs"
+    _assert_scans_agree(rot, overlap, [(1, 10), (2, 6)])
+    fsh, x1, x2 = _dyadic_fixture()
+    balls = SetTuple((Ball(x1, 2.0 ** -4), Ball(x2, 2.0 ** -4)))
+    assert _route_context(fsh, balls)["route"] == "constraints"
+    _assert_scans_agree(fsh, balls, [(1, 12), (2, 6)])
+    _assert_scans_agree(fsh, BINARY, [(1, 3), (3, 3)])
+
+
+def _constraints_report_pairwise(sys, cons, F, k):
+    """The constraint route testing every time pair, then every target pair,
+    for the first conflict: the oracle of the route's per-difference search."""
+    F = tuple(sorted(set(F)))
+
+    def compatible_at(diff, i1, i2):
+        off1, sym1 = cons[i1]
+        off2, sym2 = cons[i2]
+        lo = max(off1, diff + off2)
+        hi = min(off1 + len(sym1), diff + off2 + len(sym2))
+        a = sym1[lo - off1: hi - off1]
+        b = sym2[lo - diff - off2: hi - diff - off2]
+        return lo >= hi or bool(np.all(a == b))
+
+    bad = next(((j1, i1 + 1, j2, i2 + 1) for j1, j2 in itertools.combinations(F, 2)
+                for i1, i2 in itertools.product(range(k), repeat=2)
+                if not compatible_at(j2 - j1, i1, i2)), None)
+    n_patterns = k ** len(F)
+    if bad is not None:
+        pat = tuple(bad[1] if j == bad[0] else (bad[3] if j == bad[2] else 1) for j in F)
+        return (False, [pat], {},
+                "conflicting constraints at times %d and %d" % (bad[0], bad[2]))
+    witnesses = {}
+    tried = min(n_patterns, 64)
+    for pat in itertools.islice(itertools.product(range(1, k + 1), repeat=len(F)), tried):
+        point = sys.construct_point(
+            [(j + cons[s - 1][0], cons[s - 1][1]) for j, s in zip(F, pat)])
+        if point is not None:
+            witnesses[pat] = point.tobytes()
+    note = "pairwise constraint compatibility certifies all patterns"
+    if len(witnesses) < tried:
+        half = (len(sys.construct_point([])) - 1) // 2
+        note += ("; %d of %d witnesses not built: their runs reach past the "
+                 "stored range [-%d, %d]" % (tried - len(witnesses), tried, half, half))
+    return True, [], witnesses, note
+
+
+def test_constraint_route_matches_the_pairwise_search():
+    rng = np.random.default_rng(5)
+    verdicts = set()
+    for _ in range(300):
+        alphabet = int(rng.integers(2, 4))
+        fsh = make_fullshift(alphabet, L=4, reserve=16)
+        targets = tuple(
+            Cylinder(tuple(int(s) for s in rng.integers(0, alphabet, int(rng.integers(1, 5)))),
+                     int(rng.integers(-3, 4)))
+            for _ in range(int(rng.integers(2, 4))))
+        F = sorted({int(j) for j in rng.integers(0, 30, int(rng.integers(1, 7)))})
+        rep = check_independence(fsh, SetTuple(targets), F)
+        verified, failures, witnesses, note = _constraints_report_pairwise(
+            fsh, [t.run() for t in targets], F, len(targets))
+        assert rep.verified == verified and rep.failures == failures
+        assert rep.note == note
+        assert {p: w.tobytes() for p, w in rep.witnesses.items()} == witnesses
+        verdicts.add((verified, "not built" in note))
+    # conflicts, fully built witnesses and runs past the stored range all occur
+    assert verdicts == {(False, False), (True, False), (True, True)}

@@ -188,6 +188,63 @@ def test_fullshift_construct_point():
     assert sys.construct_point([(10 ** 6, word)]) is None       # overflow
 
 
+
+def _construct_point_by_runs(width, constraints):
+    """Runs written one at a time, each checked against the positions fixed
+    before it: the oracle of the full shift's one-scatter construct_point."""
+    center = (width - 1) // 2
+    out = np.zeros(width, dtype=np.int8)
+    fixed = np.zeros(width, dtype=bool)
+    for offset, symbols in constraints:
+        symbols = np.asarray(symbols, dtype=np.int8)
+        start = center + int(offset)
+        stop = start + symbols.size
+        if start < 0 or stop > width:
+            return None
+        if np.any(fixed[start:stop] & (out[start:stop] != symbols)):
+            return None
+        out[start:stop] = symbols
+        fixed[start:stop] = True
+    return out
+
+
+def test_fullshift_construct_point_matches_run_by_run_writes():
+    sys = make_fullshift(3, L=2, reserve=3)
+    width = len(sys.construct_point([]))
+    half = (width - 1) // 2
+    rng = np.random.default_rng(11)
+    seen = {"none": 0, "point": 0, "overlap": 0, "empty_run": 0}
+    for trial in range(2000):
+        # half the lists read their runs off one sequence, so overlaps agree
+        base = rng.integers(0, 3, width + 20).astype(np.int8)
+        runs = []
+        for _ in range(int(rng.integers(0, 6))):
+            offset = int(rng.integers(-half - 3, half + 3))
+            size = int(rng.integers(0, 6))
+            if trial % 2:
+                word = base[offset + half + 10:offset + half + 10 + size]
+            else:
+                word = rng.integers(0, 3, size).astype(np.int8)
+            runs.append((offset, word))
+        got = sys.construct_point(runs)
+        want = _construct_point_by_runs(width, runs)
+        assert (got is None) == (want is None), runs
+        if got is not None:
+            assert got.tobytes() == want.tobytes(), runs
+        seen["none" if got is None else "point"] += 1
+        seen["empty_run"] += any(len(w) == 0 for _, w in runs)
+        spans = sorted((o, o + len(w)) for o, w in runs if len(w))
+        seen["overlap"] += got is not None and any(
+            b[0] < a[1] for a, b in zip(spans, spans[1:]))
+    assert min(seen.values()) > 50, seen
+    assert sys.construct_point([]).tobytes() == bytes(width)
+    for runs in ([(-half - 1, [1])], [(half, [1, 1])], [(half + 2, [])]):
+        assert sys.construct_point(runs) is None      # past either end
+        assert _construct_point_by_runs(width, runs) is None
+    # an empty run may start one past the last position, as a slice may
+    assert sys.construct_point([(half + 1, [])]).tobytes() == bytes(width)
+
+
 def test_symbolic_window_invariants():
     with pytest.raises(ValueError):
         SymbolicWindow((0, 1), 2)
