@@ -16,6 +16,10 @@ point cannot evaluate frac(n_k * theta) in floating point. Instead each point
 carries its harmonic phases phi_k = frac(n_k * theta1), computed once in exact
 rational arithmetic and advanced additively by r_k = frac(n_k * alpha) under
 the rotation. Everything downstream is plain float work on the phase vector.
+
+Harmonics share frequencies (one per block of five in the recipe), so exact
+phases are computed once per distinct frequency and orbit phases and cosines once
+per distinct (rotation, start phases) column: the bits of a per-harmonic pass.
 """
 
 from __future__ import annotations
@@ -41,33 +45,33 @@ def _ratio_pair(x):
 _PHASE_BITS = 64
 
 
-def _phase_float(n, num, den):
-    """frac(n * num/den) rounded to 64 bits, in pure integer arithmetic.
+def _phase_float(r, den):
+    """The phase r/den, for a residue 0 <= r < den, rounded to 64 bits.
 
     Fraction arithmetic would gcd-normalize, which is quadratic-cost for the
-    megabit denominators of the resonant recipe; modular reduction plus one
-    shifted integer division avoids every gcd.
+    megabit denominators of the resonant recipe; a residue (n * num) % den
+    plus one shifted integer division avoids every gcd.
     """
-    r = (n * num) % den
     return math.ldexp((r << _PHASE_BITS) // den, -_PHASE_BITS)
 
 
-def _exact_phases(theta, freqs, alpha=None):
-    """frac(n * theta) for every frequency, exactly; optionally at theta + alpha."""
+def _distinct(freqs):
+    """Distinct frequencies in first-seen order, and each harmonic's index into them."""
+    distinct = list(dict.fromkeys(freqs))
+    return distinct, np.array([distinct.index(n) for n in freqs], dtype=np.intp)
+
+
+def _exact_phases(theta, freqs):
+    """frac(n * theta) for every frequency, exactly, once per distinct value."""
     t_num, t_den = _ratio_pair(theta)
-    if alpha is not None:
-        a_num, a_den = _ratio_pair(alpha)
-        t_num, t_den = t_num * a_den + a_num * t_den, t_den * a_den
-    t_num %= t_den
-    return np.array([_phase_float(n, t_num, t_den) for n in freqs])
+    distinct, where = _distinct(freqs)
+    return np.array([_phase_float((n * t_num) % t_den, t_den) for n in distinct])[where]
 
 
 def _harmonics(alpha, coeffs):
     """Frequencies n_k, weights 2/k (k and -k together) and rotations frac(n_k alpha)."""
     freqs = [int(n) for n, _ in coeffs]
-    a_num, a_den = _ratio_pair(alpha)
-    return (freqs, np.array([2.0 / int(k) for _, k in coeffs]),
-            np.array([_phase_float(n, a_num, a_den) for n in freqs]))
+    return freqs, np.array([2.0 / int(k) for _, k in coeffs]), _exact_phases(alpha, freqs)
 
 
 def _cocycle_terms(phis, rotations):
@@ -108,10 +112,10 @@ def make_furstenberg(alpha, coeffs, lam=1.0) -> FurstenbergSystem:
         thetas = rng.uniform(0.0, 1.0, size=(count, 2))
         return np.stack([make_point(t1, t2) for t1, t2 in thetas])
 
-    def H(phases):
-        # row-wise einsum over C-ordered rows: a row's bits do not depend on
+    def H(phases, back):
+        # row-wise einsum over gathered C-ordered rows: a row's bits do not depend on
         # the block it sits in (a matrix product would round per block size)
-        cosines = np.ascontiguousarray(np.cos(TWO_PI * phases))
+        cosines = np.take(np.cos(TWO_PI * phases), back, axis=-1)
         return np.einsum("...k,k->...", cosines, weights)
 
     def orbit(X, lo, hi):
@@ -119,9 +123,13 @@ def make_furstenberg(alpha, coeffs, lam=1.0) -> FurstenbergSystem:
         n = np.arange(lo, hi + 1, dtype=float).reshape((-1,) + (1,) * (X.ndim - 1))
         out = np.empty((len(n),) + X.shape)
         out[..., 0] = (X[..., 0] + n * alpha_f) % 1.0
-        out[..., 2:] = (X[..., 2:] + n[..., None] * rotations) % 1.0
+        # equal rotation and start phases in every row: equal columns, advanced once
+        keys = np.column_stack([rotations, X[..., 2:].reshape(X[..., 0].size, len(freqs)).T])
+        _, first, back = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        phases = (X[..., 2 + first] + n[..., None] * rotations[first]) % 1.0
+        np.take(phases, back, axis=-1, mode="clip", out=out[..., 2:])
         # without harmonics both sums are 0 and the fiber stays put
-        out[..., 1] = (X[..., 1] + lam * (H(out[..., 2:]) - H(X[..., 2:]))) % 1.0
+        out[..., 1] = (X[..., 1] + lam * (H(phases, back) - H(X[..., 2 + first], back))) % 1.0
         return out
 
     def make_point(theta1, theta2):
@@ -157,12 +165,23 @@ def coboundary_prefix_residuals(alpha, coeffs, grid=1000):
     are computed in exact rational arithmetic; a float-rounded theta + alpha
     would scramble frac(n * theta) completely for large n, so this is the
     only meaningful way to evaluate the transfer identity.
+
+    Phases are computed once per distinct frequency; with theta = t/T and
+    alpha = a/A, n (theta + alpha) has residue (A (n t mod T) + T (n a mod A))
+    mod T A, which avoids multiplying n by the large numerator t A + a T.
     """
     freqs, weights, rotations = _harmonics(alpha, coeffs)
+    a_num, a_den = _ratio_pair(alpha)
+    distinct, where = _distinct(freqs)
+    r_alpha = [(n * a_num) % a_den for n in distinct]
     worst = np.zeros(len(freqs))
     for theta in np.arange(grid) / float(grid):
-        phis = _exact_phases(theta, freqs)
-        phis_next = _exact_phases(theta, freqs, alpha=alpha)
+        t_num, t_den = _ratio_pair(theta)
+        den = t_den * a_den
+        r_theta = [(n * t_num) % t_den for n in distinct]
+        phis = np.array([_phase_float(r, t_den) for r in r_theta])[where]
+        phis_next = np.array([_phase_float((a_den * rt + t_den * ra) % den, den)
+                              for rt, ra in zip(r_theta, r_alpha)])[where]
         h_terms = weights * _cocycle_terms(phis, rotations)
         dH_terms = weights * (np.cos(TWO_PI * phis_next) - np.cos(TWO_PI * phis))
         resid = np.abs(np.cumsum(h_terms - dH_terms))
@@ -195,10 +214,11 @@ def liouville_recipe(K=30):
     steps. That period is near 10^6, so desk-scale averages visibly fail to
     settle.
 
-    Practical ceiling: denominator digits grow fourfold per block, and bigint
-    division is quadratic, so K beyond ~40 (8 blocks) makes phase evaluation
-    minutes-slow. The transfer identity itself is generic in (n_k, alpha) and
-    can be exercised at any K with moderate frequencies.
+    Practical ceiling: denominator digits grow fourfold per block and bigint
+    division is quadratic, so even at one phase reduction per block the cost
+    grows several-fold per block, and K beyond ~40 (8 blocks) is refused. The
+    transfer identity itself is generic in (n_k, alpha) and can be exercised
+    at any K with moderate frequencies.
     """
     if K > 40:
         raise ValueError("recipe denominators beyond K = 40 are computationally "
@@ -238,12 +258,9 @@ def validate_resonances(alpha, coeffs):
     710 min(r, d-r) n^4 2^k <= 113 d since 2 pi < 710/113.
     """
     a_num, a_den = _ratio_pair(alpha)
-    report = []
-    for n, k in coeffs:
-        r = (n * a_num) % a_den
-        dist_num = min(r, a_den - r)
-        ok = 710 * dist_num * (n ** 4) * (1 << k) <= 113 * a_den
-        report.append({"k": int(k), "ok": bool(ok)})
+    lhs = {n: 710 * min(r, a_den - r) * (n ** 4)     # without its 2^k, once per frequency
+           for n in {n for n, _ in coeffs} for r in [(n * a_num) % a_den]}
+    report = [{"k": int(k), "ok": bool(lhs[n] * (1 << k) <= 113 * a_den)} for n, k in coeffs]
     return {"ok": all(r["ok"] for r in report), "per_k": report}
 
 

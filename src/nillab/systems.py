@@ -32,7 +32,11 @@ ORBIT_CHUNK = 4096
 def wrap_dist_block(P, Q):
     """Max over coordinates of wrap-around distance on the torus."""
     diff = np.abs(np.asarray(P, dtype=float) - np.asarray(Q, dtype=float))
-    return np.max(np.minimum(diff, 1.0 - diff), axis=-1)
+    near = np.minimum(diff, 1.0 - diff)
+    out = near[..., 0].copy()    # max by columns: exact, far faster than np.max(axis=-1)
+    for j in range(1, near.shape[-1]):
+        np.maximum(out, near[..., j], out=out)
+    return out[()]                       # a numpy scalar for a single pair, as np.max gives
 
 
 class GridError(ValueError):
@@ -250,6 +254,8 @@ def make_nilsystem(group: NilGroup, tau,
     tau = element(group, np.asarray(tau, dtype=float)) if not hasattr(tau, "coords") else tau
     tau_inv = inv(tau)
     m = group.dim
+    # tau^0, tau^1, ... as far as any orbit has needed; cumsum prefixes are bit-equal
+    chunk_powers = power_sequence(tau, 1)
 
     def _reduce(P):
         return group.reduce_block(P)[0]
@@ -258,7 +264,11 @@ def make_nilsystem(group: NilGroup, tau,
         return dist_quotient_block(group, P, Q, metric_params)
 
     def orbit(X, lo, hi):
+        nonlocal chunk_powers
         count = hi - lo + 1
+        powers = chunk_powers           # kept whole if a concurrent call replaces it
+        if len(powers) <= min(count, ORBIT_CHUNK):
+            powers = chunk_powers = power_sequence(tau, min(count, ORBIT_CHUNK) + 1)
         out = np.empty((count,) + X.shape)
         base = np.asarray(X, dtype=float)
         if lo != 0:
@@ -269,7 +279,6 @@ def make_nilsystem(group: NilGroup, tau,
         filled = 0
         while filled < count:
             chunk = min(ORBIT_CHUNK, count - filled)
-            powers = power_sequence(tau, chunk + 1)
             out[filled:filled + chunk] = _reduce(
                 group.mul_block(powers[:chunk].reshape((chunk,) + lead + (m,)), base))
             filled += chunk
@@ -408,7 +417,9 @@ def make_fullshift(k, L=8, reserve=128) -> SystemHandle:
     def construct_point(constraints):
         """Point holding the given symbol runs; None on conflict or overflow."""
         out = np.zeros(width, dtype=np.int8)
-        runs = [(center + int(offset), np.asarray(symbols, dtype=np.int8).ravel())
+        # 1-d int8 runs (what callers building many points pass) are used as they are
+        runs = [(center + int(offset), symbols if getattr(symbols, "dtype", None) == np.int8
+                 and symbols.ndim == 1 else np.asarray(symbols, dtype=np.int8).ravel())
                 for offset, symbols in constraints]
         if any(start < 0 or start + run.size > width for start, run in runs):
             return None

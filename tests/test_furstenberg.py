@@ -1,9 +1,13 @@
 """Skew-product cocycle series: transfer identity, recipe resonances, dynamics."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from nillab.furstenberg import (coboundary_prefix_residuals, coboundary_residual,
+from nillab.furstenberg import (TWO_PI, _cocycle_terms, _exact_phases, _ratio_pair,
+                                coboundary_prefix_residuals, coboundary_residual,
                                 furstenberg_point, liouville_recipe,
                                 make_default_furstenberg, make_furstenberg,
                                 validate_resonances)
@@ -88,3 +92,154 @@ def test_exact_phases_beat_float_rounding():
     assert np.max(np.abs(q[2:] - exact_next)) > 1e-3
     # while the dynamics' phase update is the exact one
     assert np.max(np.abs(sys.step(p)[2:] - exact_next)) <= 1e-12
+
+
+# -- per-harmonic kernels, kept as oracles for the distinct-frequency ones ----
+
+
+def loop_exact_phases(theta, freqs, alpha=None):
+    t_num, t_den = _ratio_pair(theta)
+    if alpha is not None:
+        a_num, a_den = _ratio_pair(alpha)
+        t_num, t_den = t_num * a_den + a_num * t_den, t_den * a_den
+    t_num %= t_den
+    return np.array([math.ldexp((((n * t_num) % t_den) << 64) // t_den, -64)
+                     for n in freqs])
+
+
+def loop_coboundary(alpha, coeffs, grid):
+    freqs = [int(n) for n, _ in coeffs]
+    weights = np.array([2.0 / int(k) for _, k in coeffs])
+    rotations = loop_exact_phases(alpha, freqs)
+    worst = np.zeros(len(freqs))
+    for theta in np.arange(grid) / float(grid):
+        phis = loop_exact_phases(theta, freqs)
+        phis_next = loop_exact_phases(theta, freqs, alpha=alpha)
+        h_terms = weights * _cocycle_terms(phis, rotations)
+        dH_terms = weights * (np.cos(TWO_PI * phis_next) - np.cos(TWO_PI * phis))
+        worst = np.maximum(worst, np.abs(np.cumsum(h_terms - dH_terms)))
+    return worst
+
+
+def loop_orbit(alpha, coeffs, lam, X, lo, hi):
+    rotations = loop_exact_phases(alpha, [int(n) for n, _ in coeffs])
+    weights = np.array([2.0 / int(k) for _, k in coeffs])
+
+    def H(phases):
+        return np.einsum("...k,k->...", np.ascontiguousarray(np.cos(TWO_PI * phases)),
+                         weights)
+
+    n = np.arange(lo, hi + 1, dtype=float).reshape((-1,) + (1,) * (X.ndim - 1))
+    out = np.empty((len(n),) + X.shape)
+    out[..., 0] = (X[..., 0] + n * float(alpha)) % 1.0
+    out[..., 2:] = (X[..., 2:] + n[..., None] * rotations) % 1.0
+    out[..., 1] = (X[..., 1] + lam * (H(out[..., 2:]) - H(X[..., 2:]))) % 1.0
+    return out
+
+
+def loop_validate(alpha, coeffs):
+    a_num, a_den = _ratio_pair(alpha)
+    report = []
+    for n, k in coeffs:
+        r = (n * a_num) % a_den
+        ok = 710 * min(r, a_den - r) * (n ** 4) * (1 << k) <= 113 * a_den
+        report.append({"k": int(k), "ok": bool(ok)})
+    return {"ok": all(r["ok"] for r in report), "per_k": report}
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+# repeated and distinct frequencies, out of order
+CUSTOM = [(3, 1), (5, 2), (3, 3), (8, 4), (5, 5), (3, 6), (13, 7), (10 ** 40 + 7, 8),
+          (10 ** 40 + 7, 9)]
+TABLES = [(GOLDEN, CUSTOM), liouville_recipe(K=30), (Fraction(355, 113), CUSTOM)]
+
+
+@pytest.mark.parametrize("alpha, coeffs", TABLES)
+def test_phases_rotations_and_points_match_the_per_harmonic_loop(alpha, coeffs):
+    freqs = [n for n, _ in coeffs]
+    for theta in (0.0, 0.37, 0.999, -2.25, 1e-300, Fraction(7, 1234567891)):
+        assert np.array_equal(bits(_exact_phases(theta, freqs)),
+                              bits(loop_exact_phases(theta, freqs)))
+    sys = make_furstenberg(alpha, coeffs, lam=0.7)
+    assert np.array_equal(bits(sys.rotations), bits(loop_exact_phases(alpha, freqs)))
+    for t1, t2 in ((0.15, 0.35), (0.8125, 1.5), (Fraction(1, 3), 0.0)):
+        row = np.concatenate([[float(t1) % 1.0, float(t2) % 1.0],
+                              loop_exact_phases(t1, freqs)])
+        assert np.array_equal(bits(sys.make_point(t1, t2)), bits(row))
+
+
+def test_validate_resonances_matches_the_per_harmonic_loop():
+    alpha, coeffs = liouville_recipe(K=30)
+    assert validate_resonances(alpha, coeffs) == loop_validate(alpha, coeffs)
+    # a table that passes some of its bounds and fails others, frequencies repeated
+    mixed = coeffs[:12] + CUSTOM
+    report = validate_resonances(alpha, mixed)
+    assert report == loop_validate(alpha, mixed)
+    assert {r["ok"] for r in report["per_k"]} == {True, False}
+    assert validate_resonances(GOLDEN, CUSTOM) == loop_validate(GOLDEN, CUSTOM)
+    assert validate_resonances(alpha, []) == loop_validate(alpha, [])
+
+
+def theta_alpha_wraps(alpha, freqs, grid):
+    """How many (theta, n) grid pairs have frac(n theta) + frac(n alpha) >= 1,
+    i.e. A r_t + T r_a >= T A, and how many pairs there are."""
+    a_num, a_den = _ratio_pair(alpha)
+    wraps = 0
+    for theta in np.arange(grid) / float(grid):
+        t_num, t_den = _ratio_pair(theta)
+        wraps += sum(a_den * ((n * t_num) % t_den) + t_den * ((n * a_num) % a_den)
+                     >= t_den * a_den for n in freqs)
+    return wraps, grid * len(freqs)
+
+
+@pytest.mark.parametrize("alpha, coeffs, grid", [
+    (*liouville_recipe(K=30), 40),
+    (GOLDEN, CUSTOM, 200),
+    (Fraction(355, 113), CUSTOM, 64),
+    (GOLDEN, fib_coeffs(50), 200),
+    (GOLDEN, [], 10),
+])
+def test_coboundary_residuals_match_the_per_harmonic_loop(alpha, coeffs, grid):
+    got = coboundary_prefix_residuals(alpha, coeffs, grid)
+    assert np.array_equal(bits(got), bits(loop_coboundary(alpha, coeffs, grid)))
+    if coeffs:
+        # the residue split takes both branches of its T A subtraction
+        wraps, pairs = theta_alpha_wraps(alpha, [n for n, _ in coeffs], grid)
+        assert 0 < wraps < pairs
+
+
+def orbit_starts(sys, coeffs):
+    """A point, multi-row blocks, and points whose equal-frequency phases differ."""
+    p = sys.make_point(0.15, 0.35)
+    block = np.stack([sys.make_point(t, 0.25 * i) for i, t in
+                      enumerate((0.0, 0.37, 0.5, 0.91, 0.37))])
+    edited = block.copy()
+    if len(coeffs) > 1:
+        # harmonics 1 and 2 share frequency 3 in CUSTOM and the recipe's first
+        # block; one row gets a start phase off the orbit of the others
+        edited[1, 2 + 2] = 0.125
+    return [p, block, edited, block.reshape(5, 1, -1), edited[None, 1]]
+
+
+@pytest.mark.parametrize("alpha, coeffs", [(GOLDEN, CUSTOM), liouville_recipe(K=30),
+                                           (GOLDEN, [])])
+@pytest.mark.parametrize("lo, hi", [(0, 0), (0, 5000), (-300, 250), (7, 9)])
+def test_orbit_matches_the_per_harmonic_loop(alpha, coeffs, lo, hi):
+    sys = make_furstenberg(alpha, coeffs, lam=0.7)
+    for X in orbit_starts(sys, coeffs):
+        got = sys.orbit_span(X, lo, hi)
+        assert np.array_equal(bits(got), bits(loop_orbit(alpha, coeffs, 0.7, X, lo, hi)))
+
+
+def test_orbit_keys_on_start_phases_not_only_frequencies():
+    # two harmonics share a frequency and rotation but start apart: merging
+    # them on the frequency alone would give the edited column the other's phases
+    sys = make_furstenberg(GOLDEN, [(3, 1), (3, 2)], lam=1.0)
+    p = sys.make_point(0.2, 0.0)
+    p[3] = 0.7
+    got = sys.orbit_block(p, 50)
+    assert not np.array_equal(got[:, 2], got[:, 3])
+    assert np.array_equal(bits(got), bits(loop_orbit(GOLDEN, [(3, 1), (3, 2)], 1.0, p, 0, 49)))

@@ -318,3 +318,19 @@ def test_constraint_route_matches_the_pairwise_search():
         verdicts.add((verified, "not built" in note))
     # conflicts, fully built witnesses and runs past the stored range all occur
     assert verdicts == {(False, False), (True, False), (True, True)}
+
+
+def test_constraint_witnesses_match_run_by_run_conversion_on_the_ladder():
+    # runs handed over as lists are converted run by run; the route converts
+    # each target's run once, with the same witnesses and notes
+    fsh = make_fullshift(2, L=8)
+    cons = [(off, sym.tolist()) for off, sym in (t.run() for t in BINARY.targets)]
+    for m in range(1, 9):
+        F = (0,) + fs_set([2 ** i for i in range(m)]).elements
+        rep = check_independence(fsh, BINARY, F)
+        verified, failures, witnesses, note = _constraints_report_pairwise(fsh, cons, F, 2)
+        assert rep.verified and verified and rep.failures == failures == []
+        assert rep.note == note
+        assert {p: w.tobytes() for p, w in rep.witnesses.items()} == witnesses
+        # runs past the stored range [-136, 136] build no witness (m = 8)
+        assert len(witnesses) == (min(2 ** len(F), 64) if max(F) <= 136 else 0)

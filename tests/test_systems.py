@@ -1,17 +1,19 @@
 """The system zoo: constructor semantics, inverses, metrics, samplers."""
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nillab.budgets import SearchBudget
 from nillab.furstenberg import make_furstenberg
-from nillab.nilgroup import abelian, heisenberg3
-from nillab.systems import (SymbolicWindow, approx_rational, make_fullshift,
-                            make_inverse_limit, make_nilsystem, make_rotation,
-                            make_skew_product, make_sturmian, sample_points,
-                            sturmian_code)
+from nillab.nilgroup import (abelian, element, heisenberg3, inv, load_group, power,
+                             power_sequence)
+from nillab.systems import (ORBIT_CHUNK, SymbolicWindow, approx_rational,
+                            make_fullshift, make_inverse_limit, make_nilsystem,
+                            make_rotation, make_skew_product, make_sturmian,
+                            sample_points, sturmian_code, wrap_dist_block)
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -331,3 +333,66 @@ def test_fullshift_orbit_is_iterated_steps():
         fwd, back = sys.step_block(fwd), sys.inverse_step_block(back)
         assert np.array_equal(fwd, padded[:, pad + t:pad + t + width])
         assert np.array_equal(back, padded[:, pad - t:pad - t + width])
+
+
+def _nil_orbit_per_chunk(group, tau, X, lo, hi):
+    """The nilsystem orbit recomputing tau's powers in every chunk: the
+    oracle of the orbit that computes them once per system."""
+    tau = element(group, np.asarray(tau, dtype=float))
+    m = group.dim
+    count = hi - lo + 1
+    out = np.empty((count,) + X.shape)
+    base = np.asarray(X, dtype=float)
+    if lo != 0:
+        jump = power(tau if lo > 0 else inv(tau), abs(lo))
+        base = group.reduce_block(group.mul_block(jump.coords, base))[0]
+    lead = (1,) * (X.ndim - 1)
+    filled = 0
+    while filled < count:
+        chunk = min(ORBIT_CHUNK, count - filled)
+        powers = power_sequence(tau, chunk + 1)
+        out[filled:filled + chunk] = group.reduce_block(
+            group.mul_block(powers[:chunk].reshape((chunk,) + lead + (m,)), base))[0]
+        filled += chunk
+        if filled < count:
+            base = group.reduce_block(group.mul_block(powers[chunk], base))[0]
+    return out
+
+
+@pytest.mark.parametrize("group, tau", [
+    (heisenberg3(), [GOLDEN, np.sqrt(2) / 2, 0.0]),
+    (load_group(str(Path(__file__).parent / "golden" / "filiform4.json")),
+     [GOLDEN, np.sqrt(2) / 2, 0.0, 0.0]),
+], ids=["heisenberg3", "filiform4"])
+def test_nilsystem_orbit_matches_per_chunk_powers(group, tau):
+    full = power_sequence(element(group, np.asarray(tau)), ORBIT_CHUNK + 1)
+    for count in (1, 2, 7, 1000, ORBIT_CHUNK):
+        # the powers are sequential, so a shorter sequence is a bit-equal prefix
+        short = power_sequence(element(group, np.asarray(tau)), count + 1)
+        assert np.array_equal(short.view(np.int64), full[:count + 1].view(np.int64))
+    sys = make_nilsystem(group, tau)
+    X = sample_points(sys, 3, seed=4)
+    for start, lo, hi in ((X[0], 0, 0), (X[0], 0, 2 * ORBIT_CHUNK + 17), (X, -250, 4200),
+                          (X.reshape(3, 1, -1), -(ORBIT_CHUNK + 5), 3), (X, 9, 9 + ORBIT_CHUNK)):
+        got = sys.orbit_span(start, lo, hi)
+        want = _nil_orbit_per_chunk(group, tau, start, lo, hi)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_wrap_dist_block_matches_a_max_over_the_last_axis():
+    def axis_max(P, Q):
+        diff = np.abs(np.asarray(P, dtype=float) - np.asarray(Q, dtype=float))
+        return np.max(np.minimum(diff, 1.0 - diff), axis=-1)
+
+    rng = np.random.default_rng(3)
+    for d in (1, 2, 3):
+        P, Q = rng.random((40, d)), rng.random((40, d))
+        P[::7] = Q[::7]                                   # zero distances
+        P[1], Q[2, 0] = np.nan, np.nan                    # NaN rows
+        pairs = [(P, Q), (P[:, None, :], Q[None, :, :]), (P[0], Q), (P[:0], Q[:0]),
+                 (P[3], Q[4]), (P[:5].tolist(), 0.5)]
+        for a, b in pairs:
+            got, want = wrap_dist_block(a, b), axis_max(a, b)
+            assert type(got) is type(want) and got.shape == want.shape
+            assert np.array_equal(np.asarray(got).view(np.int64),
+                                  np.asarray(want).view(np.int64))
