@@ -60,7 +60,6 @@ class ArcUnion:
 
     def shift(self, c) -> "ArcUnion":
         """Rotate the set by +c mod 1."""
-        out = ArcUnion()
         pieces = []
         for a, b in self.arcs:
             pieces.extend(ArcUnion.interval(a + c, b + c).arcs)

@@ -2,13 +2,18 @@
 run experiments, emit deterministic CSV/JSON reports.
 
 Exit codes: 0 success; 2 precondition or configuration error; 3 exceeded
-enumeration/search budget where the command needs the result; 64 usage.
+enumeration/search budget where the command needs the result; 64 any usage
+error (an unknown subcommand or flag, a missing required flag, a badly typed
+value). --config and --threads go before the subcommand.
 
 A config file (--config) is an INI document: keys of its [common] section
-apply to every subcommand, keys of a [<command>] section (e.g. [simulate])
-to that subcommand only. Each key is a flag name without its dashes
-(`n_range = 50` stands for `--n-range 50`); flags given on the command line
-override config keys. Identical resolved config + seed gives byte-identical
+apply to each subcommand that has the flag, keys of a [<command>] section
+(e.g. [simulate]) to that subcommand only. Each key is a flag name without
+its dashes (`n_range = 50` stands for `--n-range 50`, `ladder = true` for
+`--ladder`). A key's value becomes the flag's default: it fills a required
+flag, a flag on the command line overrides it, and [<command>] overrides
+[common]. An unknown section or key, or a value that does not convert, is a
+configuration error. Identical resolved config + seed gives byte-identical
 outputs. Timing never goes into output files, only to stderr.
 """
 
@@ -47,6 +52,15 @@ BUDGET_EXIT = 3
 
 class ConfigError(ValueError):
     pass
+
+
+class UsageError(Exception):
+    """A command-line usage error: main returns 64."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # raise instead of printing usage and exiting
+        raise UsageError("%s\n%s" % (message, self.format_usage().rstrip()))
 
 
 def _num(token):
@@ -112,6 +126,22 @@ def load_coeffs_csv(path):
     return coeffs
 
 
+def _point_width(sys):
+    """Number of coordinates of the system's points."""
+    return sys.sample(np.random.default_rng(0)).shape[-1]
+
+
+def _coordinates(sys, text):
+    """A `/`-separated float literal, checked against the point width."""
+    vals = [_num(t) for t in text.split("/")]
+    width = _point_width(sys)
+    # a full-shift ball centre may be shorter than the window: Ball.run reads its reach
+    if len(vals) != width and sys.name != "fullshift":
+        raise ConfigError("%r has %d coordinates; %s points have %d"
+                          % (text, len(vals), sys.name, width))
+    return vals
+
+
 def parse_point(sys, text):
     """Point literal: `/`-separated floats, or a symbol word for full shifts."""
     if sys.name == "fullshift":
@@ -120,12 +150,12 @@ def parse_point(sys, text):
         if point is None:
             raise ConfigError("word does not fit the configured window")
         return point
-    vals = [_num(t) for t in text.split("/")]
     if sys.name == "furstenberg":
+        vals = [_num(t) for t in text.split("/")]
         if len(vals) != 2:
             raise ConfigError("furstenberg points are theta1/theta2")
         return sys.make_point(vals[0], vals[1])
-    return np.asarray(vals, dtype=float)
+    return np.asarray(_coordinates(sys, text), dtype=float)
 
 
 def parse_targets(sys, text):
@@ -140,8 +170,7 @@ def parse_targets(sys, text):
                                     int(anchor) if anchor else 0))
         elif kind == "ball":
             center, _, radius = rest.partition("@")
-            targets.append(Ball(tuple(_num(t) for t in center.split("/")),
-                                _num(radius)))
+            targets.append(Ball(tuple(_coordinates(sys, center)), _num(radius)))
         else:
             raise ConfigError("unknown target kind %r" % kind)
     return SetTuple(tuple(targets))
@@ -191,10 +220,7 @@ def cmd_validate_group(args):
     return 0 if report["ok"] else CONFIG_EXIT
 
 
-def cmd_simulate(args):
-    sys_ = build_system(args.system)
-    x = parse_point(sys_, args.start) if args.start else sys_.sample(
-        np.random.default_rng(args.seed))[0]
+def cmd_simulate(args, sys_, x):
     orbit = sys_.orbit_block(np.asarray(x), args.steps)
     dim = orbit.shape[1]
     cols = ["n"] + ["c%d" % i for i in range(dim)]
@@ -209,8 +235,7 @@ def _default_n_grid(n_max):
     return [n for n in grid if 1 <= n <= n_max]
 
 
-def cmd_complexity(args):
-    sys_ = build_system(args.system)
+def cmd_complexity(args, sys_):
     n_values = ([int(t) for t in args.n_grid.split(",")] if args.n_grid
                 else _default_n_grid(args.n_max))
     curve = complexity_curve(sys_, args.eps, n_values, budget_from(args))
@@ -227,35 +252,32 @@ def cmd_complexity(args):
     return 0
 
 
-def cmd_rp_test(args):
-    sys_ = build_system(args.system)
-    x = parse_point(sys_, args.x)
-    y = parse_point(sys_, args.y)
+def _two_points(args, sys_, a, b):
+    """Both points, delta (default diameter / 50) and a config with delta_used."""
+    x, y = parse_point(sys_, a), parse_point(sys_, b)
     delta = args.delta if args.delta is not None else sys_.diameter / 50.0
+    return x, y, delta, resolved_config(args, {"delta_used": delta})
+
+
+def cmd_rp_test(args, sys_):
+    x, y, delta, cfg = _two_points(args, sys_, args.x, args.y)
     res = rp_test(sys_, x, y, args.d, delta, budget_from(args))
-    payload = (res.__dict__ if isinstance(res, RPWitness) else res)
     found = isinstance(res, RPWitness)
-    payload = dict(payload, found=found)
-    reports.write_json(args.out_json, payload,
-                       resolved_config(args, {"delta_used": delta}))
+    payload = dict(res.__dict__ if found else res, found=found)
+    reports.write_json(args.out_json, payload, cfg)
     print("rp-test: %s" % ("witness found" if found else "budget exhausted"))
     return 0
 
 
-def cmd_cube_criterion(args):
-    sys_ = build_system(args.system)
-    x1 = parse_point(sys_, args.x1)
-    x2 = parse_point(sys_, args.x2)
-    delta = args.delta if args.delta is not None else sys_.diameter / 50.0
+def cmd_cube_criterion(args, sys_):
+    x1, x2, delta, cfg = _two_points(args, sys_, args.x1, args.x2)
     rep = cube_criterion(sys_, x1, x2, args.d, delta, budget_from(args))
-    reports.write_json(args.out_json, rep,
-                       resolved_config(args, {"delta_used": delta}))
+    reports.write_json(args.out_json, rep, cfg)
     print("cube-criterion: %s" % rep["verdict"])
     return 0
 
 
-def cmd_ind_check(args):
-    sys_ = build_system(args.system)
+def cmd_ind_check(args, sys_):
     sets = parse_targets(sys_, args.targets)
     F = [int(t) for t in args.F.split(",")]
     rep = check_independence(sys_, sets, F, budget_from(args))
@@ -268,8 +290,7 @@ def cmd_ind_check(args):
     return 0
 
 
-def cmd_ip_search(args):
-    sys_ = build_system(args.system)
+def cmd_ip_search(args, sys_):
     sets = parse_targets(sys_, args.targets)
     m_values = list(range(1, args.m + 1)) if args.ladder else [args.m]
     budget = budget_from(args)
@@ -286,23 +307,25 @@ def cmd_ip_search(args):
     return 0
 
 
-def cmd_averages(args):
-    sys_ = build_system(args.system)
-    obs = _parse_observable(args.observable)
+def cmd_averages(args, sys_, x):
+    if not (args.out_json if args.probe else args.out):
+        raise ConfigError("averages needs --out-json with --probe, --out without")
+    width = _point_width(sys_)
+    observables = [_parse_observable(t, width) for t in args.observable.split()]
     if args.probe:
         rng = np.random.default_rng(args.seed)
         starts = [sys_.sample(rng)[0] for _ in range(args.starts)]
-        observables = [_parse_observable(t) for t in args.observable.split()] \
-            if " " in args.observable else [obs, coordinate_cos(0), coordinate(0)]
+        if len(observables) == 1:
+            observables += [coordinate_cos(0), coordinate(0)]
         rep = unique_ergodicity_probe(sys_, observables, starts, args.n_max)
-        payload = {"spreads": rep["spreads"], "max_spread": rep["max_spread"],
-                   "verdict": rep["verdict"], "eta": rep["eta"],
-                   "n_max": rep["n_max"], "note": rep["note"]}
+        payload = {k: rep[k] for k in ("spreads", "max_spread", "verdict", "eta",
+                                       "n_max", "note")}
         reports.write_json(args.out_json, payload, resolved_config(args))
         print(rep["verdict"])
         return 0
-    x = parse_point(sys_, args.start) if args.start else sys_.sample(
-        np.random.default_rng(args.seed))[0]
+    if len(observables) != 1:
+        raise ConfigError("averages without --probe takes one observable")
+    obs = observables[0]
     tr = birkhoff(sys_, obs, x, n_max=args.n_max,
                   observable_id=getattr(obs, "observable_id", "f"))
     rows = [{"N": n, "A_N": a} for n, a in zip(tr.n_grid, tr.averages)]
@@ -312,176 +335,152 @@ def cmd_averages(args):
     return 0
 
 
-def _parse_observable(text):
+def _parse_observable(text, width):
     kind, _, idx = text.partition(":")
-    if kind == "cos":
-        return coordinate_cos(int(idx or 0))
-    if kind == "coord":
-        return coordinate(int(idx or 0))
-    raise ConfigError("unknown observable %r (use cos:<i> or coord:<i>)" % text)
+    if kind not in ("cos", "coord"):
+        raise ConfigError("unknown observable %r (use cos:<i> or coord:<i>)" % text)
+    i = int(idx or 0)
+    if not 0 <= i < width:
+        raise ConfigError("observable %r: points have %d coordinates" % (text, width))
+    return coordinate_cos(i) if kind == "cos" else coordinate(i)
 
 
 # -- argument plumbing -----------------------------------------------------------
 
+# subcommand -> (function, help, whether --seed is mandatory, options); an
+# option is a flag and its add_argument keywords
+REQUIRED = {"required": True}
+COMMON = [("--system", {"help": "descriptor like rotation:alpha=golden"}),
+          ("--seed", {"type": int}), ("--n-range", {"type": int, "default": 100}),
+          ("--candidates", {"type": int, "default": 1000}),
+          ("--grid-divisor", {"help": "grid divisor, scalar or a/b per dimension"}),
+          ("--max-cells", {"type": int, "default": 2_000_000})]
+TWO_POINT = [("--d", {"type": int, "default": 1}), ("--delta", {"type": float}),
+             ("--out-json", REQUIRED)]
+COMMANDS = {
+    "validate-group": (cmd_validate_group, "group-law axiom tests", False, [
+        ("--spec", REQUIRED), ("--seed", {"type": int}), ("--out-json", {})]),
+    "simulate": (cmd_simulate, "orbit to CSV", False, COMMON + [
+        ("--start", {}), ("--steps", {"type": int, "default": 100}), ("--out", REQUIRED)]),
+    "complexity": (cmd_complexity, "shadowing-net curve and growth fit", False, COMMON + [
+        ("--eps", {"type": float, "required": True}),
+        ("--n-max", {"type": int, "default": 100}), ("--n-grid", {}),
+        ("--out", {}), ("--out-json", {})]),
+    "rp-test": (cmd_rp_test, "regional-proximality witness search", True, COMMON + [
+        ("--x", REQUIRED), ("--y", REQUIRED)] + TWO_POINT),
+    "cube-criterion": (cmd_cube_criterion, "two-point cube pattern report", True, COMMON + [
+        ("--x1", REQUIRED), ("--x2", REQUIRED)] + TWO_POINT),
+    "ind-check": (cmd_ind_check, "independence of a time set", True, COMMON + [
+        ("--targets", REQUIRED), ("--F", REQUIRED), ("--out-json", REQUIRED)]),
+    "ip-search": (cmd_ip_search, "finite-IP independence generator scan", True, COMMON + [
+        ("--targets", {"default": "cyl:0@0 cyl:1@0",
+                       "help": "default: the two one-symbol cylinders"}),
+        ("--m", {"type": int, "required": True}), ("--bound", {"type": int, "required": True}),
+        ("--ladder", {"action": "store_true",
+                      "help": "scan every m' <= m instead of m alone"}),
+        ("--out", REQUIRED)]),
+    "averages": (cmd_averages, "Birkhoff averages / ergodicity probe", False, COMMON + [
+        ("--observable", {"default": "cos:0"}), ("--start", {}),
+        ("--n-max", {"type": int, "default": 100000}), ("--probe", {"action": "store_true"}),
+        ("--starts", {"type": int, "default": 3}), ("--out", {}), ("--out-json", {})]),
+}
 
-def _add_common(sp):
-    sp.add_argument("--system", required=False,
-                    help="descriptor like rotation:alpha=golden")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--n-range", dest="n_range", type=int, default=100)
-    sp.add_argument("--candidates", type=int, default=1000)
-    sp.add_argument("--grid-divisor", dest="grid_divisor", default=None,
-                    help="grid divisor, scalar or a/b per dimension")
-    sp.add_argument("--max-cells", dest="max_cells", type=int, default=2_000_000)
+
+def _key(name):
+    """Config key of a flag or an INI key: `--n-range` -> `n_range`."""
+    return name.lstrip("-").replace("-", "_").lower()
+
+
+def config_defaults(path, command):
+    """Defaults of `command`'s options from the INI file at `path`, by key."""
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        if not cp.read(path):
+            raise ConfigError("cannot read config file %r" % path)
+    except configparser.Error as exc:
+        raise ConfigError(str(exc)) from None
+    options = {name: {_key(flag): kw for flag, kw in opts}
+               for name, (_, _, _, opts) in COMMANDS.items()}
+    options["common"] = {k: kw for opts in options.values() for k, kw in opts.items()}
+    common, own = {}, {}
+    for name in cp.sections():
+        if name not in options:
+            raise ConfigError("unknown config section [%s]" % name)
+        for key in cp[name]:
+            if _key(key) not in options[name]:
+                raise ConfigError("[%s] %s: no such flag" % (name, key))
+            kw = options[command].get(_key(key))
+            if name not in ("common", command) or kw is None:
+                continue
+            try:
+                if kw.get("action") == "store_true":
+                    value = cp[name].getboolean(key)
+                else:
+                    value = kw.get("type", str)(cp[name][key])
+            except ValueError as exc:
+                raise ConfigError("[%s] %s: %s" % (name, key, exc)) from None
+            (common if name == "common" else own)[_key(key)] = value
+    return {**common, **own}  # [<command>] keys override [common] ones
 
 
 def _global_options():
     """Parser of the options that precede the subcommand."""
-    ap = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    ap = _Parser(prog="nillab", add_help=False)
     ap.add_argument("--config", help="INI config file; flags override its keys")
     ap.add_argument("--threads", type=int,
                     default=int(os.environ.get("NILLAB_THREADS", "1")))
     return ap
 
 
-def build_parser():
-    # usage errors in the global options and the subcommand name raise
-    # argparse.ArgumentError instead of exiting
-    ap = argparse.ArgumentParser(prog="nillab", description=__doc__,
-                                 parents=[_global_options()], exit_on_error=False,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+def build_parser(defaults):
+    """The parser; config `defaults` (by key) replace flag defaults and requirements."""
+    ap = _Parser(prog="nillab", description=__doc__, parents=[_global_options()],
+                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command")
-
-    sp = sub.add_parser("validate-group", help="group-law axiom tests")
-    sp.add_argument("--spec", required=True)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--out-json", dest="out_json")
-    sp.set_defaults(fn=cmd_validate_group, needs_seed=False)
-
-    sp = sub.add_parser("simulate", help="orbit to CSV")
-    _add_common(sp)
-    sp.add_argument("--start")
-    sp.add_argument("--steps", type=int, default=100)
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(fn=cmd_simulate, needs_seed=False)
-
-    sp = sub.add_parser("complexity", help="shadowing-net curve and growth fit")
-    _add_common(sp)
-    sp.add_argument("--eps", type=float, required=True)
-    sp.add_argument("--n-max", dest="n_max", type=int, default=100)
-    sp.add_argument("--n-grid", dest="n_grid")
-    sp.add_argument("--out")
-    sp.add_argument("--out-json", dest="out_json")
-    sp.set_defaults(fn=cmd_complexity, needs_seed=False)
-
-    sp = sub.add_parser("rp-test", help="regional-proximality witness search")
-    _add_common(sp)
-    sp.add_argument("--x", required=True)
-    sp.add_argument("--y", required=True)
-    sp.add_argument("--d", type=int, default=1)
-    sp.add_argument("--delta", type=float, default=None)
-    sp.add_argument("--out-json", dest="out_json", required=True)
-    sp.set_defaults(fn=cmd_rp_test, needs_seed=True)
-
-    sp = sub.add_parser("cube-criterion", help="two-point cube pattern report")
-    _add_common(sp)
-    sp.add_argument("--x1", required=True)
-    sp.add_argument("--x2", required=True)
-    sp.add_argument("--d", type=int, default=1)
-    sp.add_argument("--delta", type=float, default=None)
-    sp.add_argument("--out-json", dest="out_json", required=True)
-    sp.set_defaults(fn=cmd_cube_criterion, needs_seed=True)
-
-    sp = sub.add_parser("ind-check", help="independence of a time set")
-    _add_common(sp)
-    sp.add_argument("--targets", required=True)
-    sp.add_argument("--F", required=True)
-    sp.add_argument("--out-json", dest="out_json", required=True)
-    sp.set_defaults(fn=cmd_ind_check, needs_seed=True)
-
-    sp = sub.add_parser("ip-search", help="finite-IP independence generator scan")
-    _add_common(sp)
-    sp.add_argument("--targets", default="cyl:0@0 cyl:1@0",
-                    help="default: the two one-symbol cylinders")
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--bound", type=int, required=True)
-    sp.add_argument("--ladder", action="store_true",
-                    help="scan every m' <= m instead of m alone")
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(fn=cmd_ip_search, needs_seed=True)
-
-    sp = sub.add_parser("averages", help="Birkhoff averages / ergodicity probe")
-    _add_common(sp)
-    sp.add_argument("--observable", default="cos:0")
-    sp.add_argument("--start")
-    sp.add_argument("--n-max", dest="n_max", type=int, default=100000)
-    sp.add_argument("--probe", action="store_true")
-    sp.add_argument("--starts", type=int, default=3)
-    sp.add_argument("--out")
-    sp.add_argument("--out-json", dest="out_json")
-    sp.set_defaults(fn=cmd_averages, needs_seed=False)
-
+    for name, (_, help_, _, options) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_)
+        for flag, kw in options:
+            if _key(flag) in defaults:
+                kw = dict(kw, default=defaults[_key(flag)], required=False)
+            sp.add_argument(flag, **kw)
     return ap
-
-
-def apply_config_file(argv):
-    """Pull defaults from the INI file; explicit flags still win."""
-    if "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        raise ConfigError("--config needs a path")
-    path = argv[i + 1]
-    cp = configparser.ConfigParser()
-    if not cp.read(path):
-        raise ConfigError("cannot read config file %r" % path)
-    rest = argv[:i] + argv[i + 2:]
-    # the subcommand is the first positional after the global options
-    pre = _global_options()
-    pre.add_argument("command", nargs="?")
-    command = pre.parse_known_args(rest)[0].command
-    injected = []
-    for section in ("common", command or ""):
-        if section and cp.has_section(section):
-            for k, v in cp.items(section):
-                flag = "--" + k.replace("_", "-")
-                if flag not in rest:
-                    injected.extend([flag, v])
-    if command is None:
-        return rest + injected
-    at = rest.index(command)
-    # defaults go right after the subcommand so explicit flags parse later
-    return rest[:at + 1] + injected + rest[at + 1:]
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    ap = build_parser()
     try:
-        args = ap.parse_args(apply_config_file(argv))
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return CONFIG_EXIT
-    except argparse.ArgumentError as exc:
-        args, problem = None, str(exc)
-    else:
-        problem = "missing subcommand"
-    if args is None or args.command is None:
-        print("usage error: %s" % problem, file=sys.stderr)
-        ap.print_usage(sys.stderr)
+        # --config and the subcommand first: config values become parser defaults
+        head = _global_options()
+        head.add_argument("command", nargs="?")
+        head.add_argument("rest", nargs=argparse.REMAINDER)
+        pre = head.parse_known_args(argv)[0]
+        with_config = pre.config is not None and pre.command in COMMANDS
+        ap = build_parser(config_defaults(pre.config, pre.command) if with_config else {})
+        args = ap.parse_args(argv)
+        if args.command is None:
+            ap.error("missing subcommand")
+        fn, _, needs_seed, _ = COMMANDS[args.command]
+        if needs_seed and args.seed is None:
+            raise ConfigError("--seed is mandatory for search commands")
+        if args.seed is None:
+            args.seed = 0
+        inputs = []
+        if "system" in args:
+            if args.system is None:
+                raise ConfigError("%s needs --system, as a flag or a config key"
+                                  % args.command)
+            inputs.append(build_system(args.system))
+        if "start" in args:
+            inputs.append(parse_point(inputs[0], args.start) if args.start else
+                          inputs[0].sample(np.random.default_rng(args.seed))[0])
+        return fn(args, *inputs)
+    except UsageError as exc:
+        print("usage error: %s" % exc, file=sys.stderr)
         return USAGE_EXIT
-    if getattr(args, "needs_seed", False) and args.seed is None:
-        print("config error: --seed is mandatory for search commands",
-              file=sys.stderr)
-        return CONFIG_EXIT
-    if args.seed is None:
-        args.seed = 0
-    try:
-        return args.fn(args)
     except (BudgetError, GridError) as exc:
         print("budget exceeded: %s" % exc, file=sys.stderr)
         return BUDGET_EXIT
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return CONFIG_EXIT
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .systems import SystemHandle, wrap_dist_block
+from .systems import SystemHandle, _times, wrap_dist_block
 
 TWO_PI = 2.0 * math.pi
 
@@ -120,7 +120,7 @@ def make_furstenberg(alpha, coeffs, lam=1.0) -> FurstenbergSystem:
 
     def orbit(X, lo, hi):
         # fiber telescopes: theta2(n) = theta2 + lam * (H(phases_n) - H(phases_0))
-        n = np.arange(lo, hi + 1, dtype=float).reshape((-1,) + (1,) * (X.ndim - 1))
+        n = _times(lo, hi, X.ndim - 1)
         out = np.empty((len(n),) + X.shape)
         out[..., 0] = (X[..., 0] + n * alpha_f) % 1.0
         # equal rotation and start phases in every row: equal columns, advanced once

@@ -1,6 +1,10 @@
 """CLI contract: subcommands, exit codes, config file, byte determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -192,3 +196,161 @@ def test_threads_flag_before_subcommand(tmp_path):
     assert run(["--config", str(cfg), "--threads", "2", "simulate", "--start", "0",
                 "--out", str(out)]) == 0
     assert len(_data_rows(out)) == 1 + 7
+
+
+# -- one front-end path: every argv gives an exit code, never an exception ------
+
+
+def _ini(tmp_path, text):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(text)
+    return str(cfg)
+
+
+def test_config_boolean_flag(tmp_path):
+    # `ladder = true` is read as a boolean, not injected as `--ladder true`
+    out = tmp_path / "l.csv"
+    cfg = _ini(tmp_path, "[ip-search]\nladder = true\n")
+    assert run(["--config", cfg, "ip-search", "--system", "sturmian:alpha=golden",
+                "--m", "2", "--bound", "12", "--seed", "0", "--out", str(out)]) == 0
+    assert [r.split(",")[0] for r in _data_rows(out)[1:]] == ["1", "2"]
+
+
+def test_common_key_skipped_by_subcommand_without_the_flag(tmp_path):
+    cfg = _ini(tmp_path, "[common]\nsystem = rotation:alpha=golden\n")
+    assert run(["--config", cfg, "validate-group", "--spec", "heisenberg3"]) == 0
+
+
+@pytest.mark.parametrize("text", [
+    "[simulate]\nbogus = 1\n",
+    "[common]\nbogus = 1\n",
+    "[complexity]\nbogus = 1\n",
+    "[simulat]\nsteps = 3\n",
+    "[common]\nthreads = 2\n",
+], ids=["command-section", "common-section", "other-command-section",
+        "unknown-section", "global-option"])
+def test_config_key_without_a_flag_is_config_error(tmp_path, text):
+    assert run(["--config", _ini(tmp_path, text), "simulate", "--system",
+                "rotation:alpha=golden", "--out", str(tmp_path / "o.csv")]) == 2
+
+
+@pytest.mark.parametrize("text", [
+    "[simulate]\nsteps = abc\n", "[common]\nsteps = 1.5\n", "[averages]\nprobe = maybe\n",
+    "no section header\n",
+], ids=["int", "common-int", "boolean", "malformed-file"])
+def test_config_value_that_does_not_convert_is_config_error(tmp_path, text):
+    command = "averages" if "averages" in text else "simulate"
+    assert run(["--config", _ini(tmp_path, text), command, "--system",
+                "rotation:alpha=golden", "--out", str(tmp_path / "o.csv")]) == 2
+
+
+def test_config_value_fills_required_flag(tmp_path):
+    out = tmp_path / "cfg.csv"
+    cfg = _ini(tmp_path, "[simulate]\nout = %s\n" % out)
+    assert run(["--config", cfg, "simulate", "--system", "rotation:alpha=golden",
+                "--steps", "3"]) == 0
+    assert len(_data_rows(out)) == 1 + 3
+
+
+@pytest.mark.parametrize("text", [
+    "[common]\nsteps = 5\n[simulate]\nsteps = 7\n",
+    "[simulate]\nsteps = 7\n[common]\nsteps = 5\n",
+], ids=["common-first", "command-first"])
+def test_config_section_precedence(tmp_path, text):
+    out = tmp_path / "o.csv"
+    argv = ["--config", _ini(tmp_path, text), "simulate", "--system",
+            "rotation:alpha=golden", "--start", "0", "--out", str(out)]
+    assert run(argv) == 0
+    assert len(_data_rows(out)) == 1 + 7
+    assert run(argv + ["--steps", "3"]) == 0
+    assert len(_data_rows(out)) == 1 + 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--system", "rotation:alpha=golden", "--bogus", "--out", "o.csv"],
+    ["simulate", "--system", "rotation:alpha=golden"],
+    ["simulate", "--system", "rotation:alpha=golden", "--steps", "abc", "--out", "o.csv"],
+    ["--threads", "x", "simulate"],
+    ["simulate", "--config", "exp.ini", "--out", "o.csv"],
+], ids=["unknown-flag", "missing-required-flag", "bad-value", "bad-global-value",
+        "global-option-after-subcommand"])
+def test_usage_errors_exit_64(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 64
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_missing_system_is_config_error(tmp_path):
+    assert run(["simulate", "--out", str(tmp_path / "x.csv")]) == 2
+    assert run(["averages", "--out", str(tmp_path / "x.csv")]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--system", "skew:alpha=golden", "--start", "0.1", "--out"],
+    ["rp-test", "--system", "skew:alpha=golden", "--x", "0.2/0.1", "--y", "0.1",
+     "--seed", "0", "--out-json"],
+    ["ind-check", "--system", "rotation:alpha=golden", "--targets",
+     "ball:0.1/0.2@0.1 ball:0.5@0.1", "--F", "0,1", "--seed", "0", "--out-json"],
+    ["cube-criterion", "--system", "heisenberg", "--x1", "0.1/0.2/0.3/0.4",
+     "--x2", "0.1/0.2/0.3", "--seed", "0", "--out-json"],
+], ids=["short-start", "short-point", "wide-ball-centre", "wide-point"])
+def test_point_width_is_checked(tmp_path, argv):
+    out = tmp_path / "out"
+    assert run(argv + [str(out)]) == 2
+    assert not out.exists()
+
+
+def test_fullshift_ball_centre_reads_its_own_reach(tmp_path):
+    # a full-shift ball centre is the centre row's symbols, shorter than the window
+    js = tmp_path / "ind.json"
+    assert run(["ind-check", "--system", "fullshift:k=2", "--targets",
+                "ball:0/1/0@0.3 ball:1/1/1@0.3", "--F", "0,1", "--seed", "0",
+                "--out-json", str(js)]) == 0
+    rep = json.loads(js.read_text())["report"]
+    assert rep["method"] == "exact-language" and rep["verified"] is False
+
+
+def test_averages_probe_with_several_observables(tmp_path):
+    js = tmp_path / "probe.json"
+    assert run(["averages", "--system", "skew:alpha=golden", "--probe",
+                "--observable", "cos:0 coord:0 cos:1", "--n-max", "2000",
+                "--out-json", str(js)]) == 0
+    spreads = json.loads(js.read_text())["report"]["spreads"]
+    assert sorted(spreads) == ["coord[0]", "cos2pi[0]", "cos2pi[1]"]
+
+
+def test_averages_probe_single_observable_keeps_its_trio(tmp_path):
+    js = tmp_path / "probe.json"
+    assert run(["averages", "--system", "skew:alpha=golden", "--probe",
+                "--observable", "cos:1", "--n-max", "2000",
+                "--out-json", str(js)]) == 0
+    spreads = json.loads(js.read_text())["report"]["spreads"]
+    assert sorted(spreads) == ["coord[0]", "cos2pi[0]", "cos2pi[1]"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--observable", "cos:2", "--out", "avg.csv"],
+    ["--observable", "coord:-1", "--out", "avg.csv"],
+    ["--observable", "cos:0 coord:0", "--out", "avg.csv"],
+    ["--out-json", "avg.json"],
+    ["--probe", "--out", "avg.csv"],
+], ids=["index-past-width", "negative-index", "two-without-probe", "no-out",
+        "probe-without-out-json"])
+def test_averages_bad_observable_or_output_is_config_error(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(["averages", "--system", "skew:alpha=golden", "--n-max", "100"]
+               + argv) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_entry_point_exit_codes(tmp_path):
+    # the console script `nillab = nillab.cli:main` as a process
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv, code in [(["simulate", "--system", "rotation:alpha=golden", "--bogus",
+                         "--out", "o.csv"], 64),
+                       (["simulate", "--out", "o.csv"], 2)]:
+        proc = subprocess.run([sys.executable, "-m", "nillab.cli"] + argv, cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
