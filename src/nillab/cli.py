@@ -432,13 +432,16 @@ def _global_options():
     return ap
 
 
-def build_parser(defaults):
-    """The parser; config `defaults` (by key) replace flag defaults and requirements."""
+def build_parser(defaults, command=None):
+    """The parser; config `defaults` (by key) replace flag defaults and requirements.
+    Only `command`, if given, gets its options; the usage still lists every name."""
     ap = _Parser(prog="nillab", description=__doc__, parents=[_global_options()],
                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command")
     for name, (_, help_, _, options) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_)
+        if command not in (None, name):
+            continue
         for flag, kw in options:
             if _key(flag) in defaults:
                 kw = dict(kw, default=defaults[_key(flag)], required=False)
@@ -454,8 +457,10 @@ def main(argv=None):
         head.add_argument("command", nargs="?")
         head.add_argument("rest", nargs=argparse.REMAINDER)
         pre = head.parse_known_args(argv)[0]
-        with_config = pre.config is not None and pre.command in COMMANDS
-        ap = build_parser(config_defaults(pre.config, pre.command) if with_config else {})
+        # a known subcommand is the one the full parse takes: only it needs options
+        known = pre.command if pre.command in COMMANDS else None
+        ap = build_parser(config_defaults(pre.config, known)
+                          if pre.config is not None and known else {}, known)
         args = ap.parse_args(argv)
         if args.command is None:
             ap.error("missing subcommand")

@@ -291,6 +291,24 @@ def _construct_pattern(sys, runs, assignment):
     return None if z is None else (z, n_vec)
 
 
+# orbit rows per depth call of the cube scan, which bounds its memory: a
+# chunk's calls peak near 32 MB on heisenberg3 and 45 MB on a full shift
+SCAN_ROWS = 1 << 14
+
+
+def _ball_visits(sys, balls, zs, span):
+    """near[which][z, t + span]: T^t zs[z] in ball `which`, t in [-span, span],
+    from one orbit_span and one depth call per ball for each chunk of about
+    SCAN_ROWS orbit rows; depths are row-wise (see `dist_quotient_block`)."""
+    step = max(1, SCAN_ROWS // (2 * span + 1))
+    near = {which: np.empty((len(zs), 2 * span + 1), dtype=bool) for which in balls}
+    for lo in range(0, len(zs), step):
+        orbit = sys.orbit_span(zs[lo:lo + step], -span, span)
+        for which, ball in balls.items():
+            near[which][lo:lo + step] = (ball.depth(sys, orbit) > 0).T
+    return near
+
+
 def _cube_scan(sys, balls, d, budget):
     """Sampler/orbit scan over base points and the exponent spiral: returns
     find(assignment) -> (z, n_vec) or None, the first base point in pool
@@ -303,13 +321,7 @@ def _cube_scan(sys, balls, d, budget):
     zs = zs[:budget.max_candidates]
     verts = vertex_set(d)
     spiral, span, idx = _spiral_index(budget, d, verts)
-    # near[which][z]: is T^t z in ball `which`, t over [-span, span]; one z at
-    # a time, as a block orbit of every z would hold all their orbits at once
-    near = {1: [], 2: []}
-    for z in zs:
-        orbit = sys.orbit_span(z, -span, span)
-        for which, ball in balls.items():
-            near[which].append(ball.depth(sys, orbit) > 0)
+    near = _ball_visits(sys, balls, zs, span)
 
     def find(assignment):
         for zi, z in enumerate(zs):

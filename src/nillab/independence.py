@@ -132,7 +132,7 @@ def check_independence(sys: SystemHandle, sets: SetTuple, F,
     if route == "arcs":
         return _pattern_report(F, k, _arc_witness(sys, ctx["arcs"], F, k), exact=True,
                                note="arc-intersection emptiness is exact")
-    return _pattern_report(F, k, _sampled_witness(sys, sets, F, k, budget), exact=False,
+    return _pattern_report(F, k, _sampled_witness(sys, sets, F, budget), exact=False,
                            note="unrealized patterns are budget-exhausted, not refuted")
 
 
@@ -277,17 +277,19 @@ def _check_exact_constraints(sys, cons, F, k):
         note="conflicting constraints at times %d and %d" % (j1, j2))
 
 
-def _sampled_witness(sys, sets, F, k, budget):
+def _visits(sys, targets, Z, F):
+    """member[z, j_idx, i]: T^j Z[z] in targets[i] for j = F[j_idx], from one
+    depth call per target; depths are row-wise (see `dist_quotient_block`)."""
+    pts = sys.orbit_span(Z, 0, max(F))[np.asarray(F)]       # (|F|, len(Z), d)
+    return np.stack([np.swapaxes(t.depth(sys, pts) > 0, 0, 1) for t in targets], axis=-1)
+
+
+def _sampled_witness(sys, sets, F, budget):
     """Per-pattern witness of the sampled route: the first sampled point
-    whose orbit visits the pattern's targets."""
+    whose orbit visits the pattern's targets, read from one `_visits` block."""
     rng = np.random.default_rng(budget.seed)
     Z = sys.sample_block(rng, budget.max_candidates)
-    # member[z, j_idx, i]: T^j z in A_i
-    pts = sys.orbit_span(Z, 0, max(F))[np.asarray(F)]       # (|F|, len(Z), d)
-    member = np.zeros((len(Z), len(F), k), dtype=bool)
-    for zi in range(len(Z)):
-        for i, t in enumerate(sets.targets):
-            member[zi, :, i] = t.depth(sys, pts[:, zi]) > 0
+    member = _visits(sys, sets.targets, Z, F)
 
     def witness(pat):
         rows = np.all(member[:, np.arange(len(F)), np.asarray(pat) - 1], axis=1)

@@ -114,6 +114,13 @@ def dist_quotient_block(grp: NilGroup, P, Q, params: MetricParams = DEFAULT_PARA
     the candidate set, and hence the value, is symmetric in (p, q). Both
     families and all pairs share one pruned search over the lattice box
     (see the module docstring); the value equals the full-box minimum.
+
+    The default radius ceil(2 + max |coordinate|) is read over the whole
+    block, P and Q together: it is the one input that crosses rows. Reduced
+    rows give 3 in any block, except a block whose coordinates are all 0,
+    where every distance is 0 under any radius. So a block of reduced pairs,
+    or of reduced rows each against one shared row such as a ball centre,
+    gives bit for bit the values of one-row calls.
     """
     P = np.asarray(P, dtype=float)
     Q = np.asarray(Q, dtype=float)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from nillab.cli import main, parse_descriptor
+from nillab.cli import COMMANDS, UsageError, build_parser, main, parse_descriptor
 
 
 def run(argv):
@@ -278,6 +278,28 @@ def test_usage_errors_exit_64(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     assert run(argv) == 64
     assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h", "simulate"]]
+                         + [[name, "--help"] for name in COMMANDS])
+def test_help_is_the_full_parsers(capsys, argv):
+    # main builds only the named subcommand's options; its help cannot tell
+    with pytest.raises(SystemExit) as full:
+        build_parser({}).parse_args(argv)
+    want = capsys.readouterr().out
+    with pytest.raises(SystemExit) as lazy:
+        main(argv)
+    assert lazy.value.code == full.value.code == 0
+    assert capsys.readouterr().out == want and want.startswith("usage: nillab ")
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_usage_errors_are_the_full_parsers(capsys, name):
+    for argv in ([name, "--bogus"], [name, "--seed", "x"], [name, "--out-json"]):
+        with pytest.raises(UsageError) as full:
+            build_parser({}).parse_args(argv)
+        assert run(argv) == 64
+        assert capsys.readouterr().err == "usage error: %s\n" % full.value
 
 
 def test_missing_system_is_config_error(tmp_path):

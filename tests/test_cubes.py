@@ -5,10 +5,11 @@ import itertools
 import numpy as np
 import pytest
 
+from nillab import cubes
 from nillab.budgets import SearchBudget
-from nillab.cubes import (POOL_CAP, Cube, FaceMove, RPWitness, _candidate_pool,
-                          apply_face, cube_criterion, rp_test, sample_cube,
-                          validate_rp_witness, vertex_set)
+from nillab.cubes import (POOL_CAP, Cube, FaceMove, RPWitness, _ball_visits,
+                          _candidate_pool, apply_face, cube_criterion, rp_test,
+                          sample_cube, validate_rp_witness, vertex_set)
 from nillab.nilgroup import heisenberg3
 from nillab.systems import (make_fullshift, make_nilsystem, make_rotation,
                             make_skew_product)
@@ -261,3 +262,47 @@ def test_fullshift_pool_holds_orbit_points_past_the_stored_range():
     assert np.array_equal(fsh.orbit_span(x, -500, 500)[500], x)
     pool = _candidate_pool(fsh, x, 0.05, SearchBudget(seed=0), np.random.default_rng(0))
     assert any(np.array_equal(p, x) for p in pool)
+
+
+def one_point_ball_visits(sys, balls, zs, span):
+    """Reference scan rows: one orbit and one depth call per ball for each base point."""
+    near = {which: [] for which in balls}
+    for z in zs:
+        orbit = sys.orbit_span(z, -span, span)
+        for which, ball in balls.items():
+            near[which].append(ball.depth(sys, orbit) > 0)
+    return {which: np.array(rows) for which, rows in near.items()}
+
+
+@pytest.mark.parametrize("case", ["skew-d1", "skew-d2", "rotation-d2", "heisenberg3-d1"])
+@pytest.mark.parametrize("scan_rows", [None, 200])
+def test_cube_scan_matches_one_call_per_point(monkeypatch, case, scan_rows):
+    sys, x1, x2, d, delta, budget, n_failures = {
+        "skew-d1": (make_skew_product(GOLDEN), [0.2, 0.7], [0.6, 0.1], 1, 0.05,
+                    SearchBudget(seed=0), 0),
+        "skew-d2": (make_skew_product(GOLDEN), [0.2, 0.7], [0.6, 0.1], 2, 0.1,
+                    SearchBudget(max_candidates=300, n_range=30, seed=0), 8),
+        "rotation-d2": (make_rotation([GOLDEN]), [0.1], [0.4], 2, 0.075,
+                        SearchBudget(max_candidates=300, n_range=60, seed=0), 10),
+        "heisenberg3-d1": (make_nilsystem(heisenberg3(), [GOLDEN, np.sqrt(2.0) / 2.0, 0.0]),
+                           [0.2, 0.3, 0.4], [0.6, 0.1, 0.8], 1, 0.2,
+                           SearchBudget(max_candidates=100, n_range=20, seed=0), 0),
+    }[case]
+    if scan_rows is not None:
+        # chunks of a few base points, so that chunk boundaries fall inside the pool
+        monkeypatch.setattr(cubes, "SCAN_ROWS", scan_rows)
+    x1, x2 = np.array(x1), np.array(x2)
+    got = cube_criterion(sys, x1, x2, d, delta, budget)
+    scans = []
+
+    def oracle(sys_, balls, zs, span):
+        want = one_point_ball_visits(sys_, balls, zs, span)
+        near = _ball_visits(sys_, balls, zs, span)
+        assert all(np.array_equal(near[w], want[w]) for w in balls)
+        scans.append(len(zs))
+        return want
+
+    monkeypatch.setattr(cubes, "_ball_visits", oracle)
+    want = cube_criterion(sys, x1, x2, d, delta, budget)
+    assert scans == [budget.max_candidates] and got == want
+    assert len(got["failures"]) == n_failures

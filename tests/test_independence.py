@@ -5,12 +5,15 @@ import itertools
 import numpy as np
 import pytest
 
+from nillab import independence
 from nillab.budgets import SearchBudget
-from nillab.independence import (Ball, Cylinder, SetTuple, _route_context,
+from nillab.independence import (Ball, Cylinder, SetTuple, _route_context, _visits,
                                  check_independence, find_ip_independence, fs_set,
                                  independence_ladder, sturmian_language)
-from nillab.systems import (make_fullshift, make_rotation, make_skew_product,
-                            make_sturmian, sturmian_coding)
+from nillab.nilgroup import heisenberg3
+from nillab.systems import (make_fullshift, make_nilsystem, make_rotation,
+                            make_skew_product, make_sturmian, sturmian_coding)
+from nillab.targets import CylinderUnion
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 BINARY = SetTuple((Cylinder((0,), 0), Cylinder((1,), 0)))
@@ -101,6 +104,50 @@ def test_sampled_route_on_skew():
         assert len(rep.witnesses) == 4
     else:
         assert "budget" in rep.note
+
+
+def one_point_visits(sys, targets, Z, F):
+    """Reference membership: one depth call per sampled point per target."""
+    pts = sys.orbit_span(Z, 0, max(F))[np.asarray(F)]
+    member = np.zeros((len(Z), len(F), len(targets)), dtype=bool)
+    for zi in range(len(Z)):
+        for i, t in enumerate(targets):
+            member[zi, :, i] = t.depth(sys, pts[:, zi]) > 0
+    return member
+
+
+def _report_fields(rep):
+    return (rep.F, rep.verified, rep.method, rep.exact, rep.patterns_checked,
+            rep.realized_patterns, rep.failures, rep.note,
+            {pat: z.tolist() for pat, z in rep.witnesses.items()})
+
+
+@pytest.mark.parametrize("case", ["heisenberg3", "fullshift-cylinders", "skew"])
+def test_sampled_route_matches_one_call_per_point(monkeypatch, case):
+    sys, sets, F, budget, realized = {
+        "heisenberg3": (make_nilsystem(heisenberg3(), [GOLDEN, np.sqrt(2.0) / 2.0, 0.0]),
+                        SetTuple((Ball((0.25,) * 3, 0.3), Ball((0.75,) * 3, 0.3))),
+                        (0, 1, 3), SearchBudget(max_candidates=100, seed=0), 3),
+        "fullshift-cylinders": (
+            make_fullshift(2, L=8),
+            # x_0 = 0 as a union of two words, and x_0 = x_1 = 1: no witness
+            # of the second at j and the first at j + 1
+            SetTuple((CylinderUnion((((0, 1), 0), ((0, 0), 0))),
+                      CylinderUnion((((1, 1), 0),)))),
+            (0, 1, 2), SearchBudget(max_candidates=200, seed=0), 4),
+        "skew": (make_skew_product(GOLDEN),
+                 SetTuple((Ball((0.25, 0.25), 0.3), Ball((0.75, 0.75), 0.3))),
+                 (0, 1), SearchBudget(max_candidates=400, seed=0), 4),
+    }[case]
+    assert _route_context(sys, sets)["route"] == "sampled"
+    Z = sys.sample_block(np.random.default_rng(budget.seed), budget.max_candidates)
+    member = _visits(sys, sets.targets, Z, F)
+    assert np.array_equal(member, one_point_visits(sys, sets.targets, Z, F))
+    got = check_independence(sys, sets, F, budget)
+    monkeypatch.setattr(independence, "_visits", one_point_visits)
+    want = check_independence(sys, sets, F, budget)
+    assert _report_fields(got) == _report_fields(want)
+    assert got.patterns_checked == 2 ** len(F) and got.realized_patterns == realized
 
 
 def test_find_ip_sturmian_ladder_values():

@@ -12,6 +12,7 @@ from nillab.nilmetric import (BudgetError, MetricParams, dist_group,
                               quotient_point)
 from nillab.polynomials import SparsePoly
 from nillab.systems import make_nilsystem
+from nillab.targets import Ball
 
 H = heisenberg3()
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -200,3 +201,31 @@ def test_budget_counts_the_box_not_the_candidates():
     # a box far too large to enumerate is refused before any search
     with pytest.raises(BudgetError, match="needs %d cells" % (2 * 10 ** 6 + 1) ** 3):
         dist_quotient_block(H, P, Q, MetricParams(gamma_bound=1e6))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def test_block_equals_row_by_row_calls():
+    # the default radius is read over the whole block: 3 for reduced rows
+    rng = np.random.default_rng(8)
+    P, Q = rng.uniform(0, 1, (60, 3)), rng.uniform(0, 1, (60, 3))
+    Q[::3] = (P[::3] + rng.uniform(-0.02, 0.02, (20, 3))) % 1.0
+    P[7] = Q[7] = 0.0           # alone this pair gets radius 2, distance 0 either way
+    rows = [dist_quotient_block(H, P[i:i + 1], Q[i:i + 1])[0] for i in range(len(P))]
+    assert rows[7] == 0.0
+    assert np.array_equal(_bits(dist_quotient_block(H, P, Q)), _bits(rows))
+    # a ball with an unreduced centre: the centre is in every call, radius 4 in each
+    nil = make_nilsystem(H, [GOLDEN, np.sqrt(2.0) / 2.0, 0.0])
+    ball = Ball((1.25, -0.5, 0.75), 0.3)
+    orbit = nil.orbit_span(P[:20], 0, 5)                 # (6, 20, 3)
+    depth = ball.depth(nil, orbit)
+    assert depth.shape == (6, 20) and 0 < np.sum(depth > 0) < depth.size
+    one = [[ball.depth(nil, orbit[t, z:z + 1])[0] for z in range(20)] for t in range(6)]
+    assert np.array_equal(_bits(depth), _bits(one))
+    # one unreduced row widens the box of every row in its block
+    cap = MetricParams(max_cells=343)
+    dist_quotient_block(H, P, Q, cap)
+    with pytest.raises(BudgetError, match="needs 729 cells"):
+        dist_quotient_block(H, np.vstack([P, [[1.5, 0.0, 0.0]]]), np.vstack([Q, Q[:1]]), cap)

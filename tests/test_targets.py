@@ -23,6 +23,20 @@ def test_cylinder_past_the_window_is_refused():
     assert np.array_equal(inside, P[:, center + 8] == 1)
 
 
+def test_cylinder_depth_on_stacked_blocks():
+    # an orbit block (T, c, width) is read row by row, shape kept
+    fsh, stu = make_fullshift(2, L=8), make_sturmian(GOLDEN)
+    for sys, targets in (
+            (fsh, (Cylinder((1, 0), -1), CylinderUnion((((0,), 0), ((1, 1), 3))))),
+            (stu, (Cylinder((0, 1), 0), CylinderUnion((((1,), 0), ((0, 0), 2)))))):
+        block = sys.orbit_span(sample_points(sys, 12, seed=2), 0, 4)
+        for target in targets:
+            got = target.depth(sys, block)
+            assert got.shape == (5, 12)
+            assert np.array_equal(got, np.stack([target.depth(sys, rows) for rows in block]))
+            assert np.array_equal(got.ravel(), target.depth(sys, block.reshape(60, -1)))
+
+
 def test_ball_run_reads_the_center_row():
     fsh = make_fullshift(2, L=8)
     x = sample_points(fsh, 1, seed=4)[0]
