@@ -128,7 +128,7 @@ def load_coeffs_csv(path):
 
 def _point_width(sys):
     """Number of coordinates of the system's points."""
-    return sys.sample(np.random.default_rng(0)).shape[-1]
+    return sys.sample_block(np.random.default_rng(0), 1).shape[-1]
 
 
 def _coordinates(sys, text):
@@ -314,7 +314,7 @@ def cmd_averages(args, sys_, x):
     observables = [_parse_observable(t, width) for t in args.observable.split()]
     if args.probe:
         rng = np.random.default_rng(args.seed)
-        starts = [sys_.sample(rng)[0] for _ in range(args.starts)]
+        starts = [sys_.sample_block(rng, 1)[0] for _ in range(args.starts)]
         if len(observables) == 1:
             observables += [coordinate_cos(0), coordinate(0)]
         rep = unique_ergodicity_probe(sys_, observables, starts, args.n_max)
@@ -477,7 +477,7 @@ def main(argv=None):
             inputs.append(build_system(args.system))
         if "start" in args:
             inputs.append(parse_point(inputs[0], args.start) if args.start else
-                          inputs[0].sample(np.random.default_rng(args.seed))[0])
+                          inputs[0].sample_block(np.random.default_rng(args.seed), 1)[0])
         return fn(args, *inputs)
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)

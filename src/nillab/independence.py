@@ -249,11 +249,10 @@ def _check_exact_constraints(sys, cons, F, k):
     if not any(first.values()):
         witnesses = {}
         tried = min(n_patterns, 64)
-        runs = [(off, np.asarray(sym, dtype=np.int8).ravel()) for off, sym in cons]
         for pat in itertools.islice(itertools.product(range(1, k + 1),
                                                       repeat=len(F)), tried):
             point = sys.construct_point(
-                [(j + runs[s - 1][0], runs[s - 1][1]) for j, s in zip(F, pat)])
+                [(j + cons[s - 1][0], cons[s - 1][1]) for j, s in zip(F, pat)])
             if point is not None:
                 witnesses[pat] = point
         note = "pairwise constraint compatibility certifies all patterns"

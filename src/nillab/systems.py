@@ -117,8 +117,8 @@ class SystemHandle:
     # (n, eps, budget) -> (block, exact); exact: the rows are pairwise
     # non-shadowing at horizon n, one per shadowing class
     grid: callable = None
-    to_window: callable = None               # point -> SymbolicWindow
-    construct_point: callable = None         # [(offset, symbols)] -> point | None
+    window: callable = None                  # block (..., d) -> int8 symbols (..., 2L+1)
+    construct_point: callable = None         # [(offset, 1-d symbols)] -> point | None
     coding: "CircleCoding" = None            # exact rotation-coded structure
 
     # -- dynamics derived from the orbit, and scalar conveniences --
@@ -138,9 +138,6 @@ class SystemHandle:
 
     def metric(self, x, y):
         return float(self.metric_block(np.asarray(x)[None, :], np.asarray(y)[None, :])[0])
-
-    def sample(self, rng, count=1):
-        return self.sample_block(rng, count)
 
     def orbit_span(self, x, lo, hi):
         """Points T^lo x .. T^hi x (inclusive range) of a point or a block.
@@ -332,13 +329,11 @@ def make_sturmian(alpha, L=16) -> SystemHandle:
     coding = sturmian_coding(alpha)
     offsets = np.arange(-L, L + 1)
 
-    def metric_block(P, Q):
-        wp = coding.symbols_block(P[..., 0], offsets)
-        wq = coding.symbols_block(Q[..., 0], offsets)
-        return _window_distance(wp, wq, L)
+    def window(P):
+        return coding.symbols_block(P[..., 0], offsets)
 
-    def to_window(point):
-        return sturmian_code(alpha, point[0], L)
+    def metric_block(P, Q):
+        return _window_distance(window(P), window(Q), L)
 
     def grid(n, eps, budget):
         # one point per coding cell of the window that decides (n, eps)-shadowing
@@ -354,7 +349,7 @@ def make_sturmian(alpha, L=16) -> SystemHandle:
         name="sturmian", kind="symbolic", orbit=_translation(alpha),
         metric_block=metric_block, sample_block=_uniform_sampler(1),
         diameter=1.0, grid=grid,
-        to_window=to_window, coding=coding, flags=flags,
+        window=window, coding=coding, flags=flags,
     )
 
 
@@ -401,8 +396,7 @@ def make_fullshift(k, L=8, reserve=128) -> SystemHandle:
     center = half
 
     def metric_block(P, Q):
-        lo, hi = center - half, center + half + 1
-        return _window_distance(P[..., lo:hi], Q[..., lo:hi], half)
+        return _window_distance(P, Q, half)
 
     def sample_block(rng, count):
         out = np.zeros((count, width), dtype=np.int8)
@@ -410,16 +404,13 @@ def make_fullshift(k, L=8, reserve=128) -> SystemHandle:
                                                          dtype=np.int8)
         return out
 
-    def to_window(point):
-        word = point[center - L:center + L + 1]
-        return SymbolicWindow(tuple(int(s) for s in word), k)
+    def window(P):
+        return P[..., center - L:center + L + 1]
 
     def construct_point(constraints):
         """Point holding the given symbol runs; None on conflict or overflow."""
         out = np.zeros(width, dtype=np.int8)
-        # 1-d int8 runs (what callers building many points pass) are used as they are
-        runs = [(center + int(offset), symbols if getattr(symbols, "dtype", None) == np.int8
-                 and symbols.ndim == 1 else np.asarray(symbols, dtype=np.int8).ravel())
+        runs = [(center + int(offset), np.asarray(symbols, dtype=np.int8))
                 for offset, symbols in constraints]
         if any(start < 0 or start + run.size > width for start, run in runs):
             return None
@@ -461,7 +452,7 @@ def make_fullshift(k, L=8, reserve=128) -> SystemHandle:
     return SystemHandle(
         name="fullshift", kind="symbolic",
         metric_block=metric_block, sample_block=sample_block, orbit=orbit,
-        diameter=1.0, grid=grid, to_window=to_window, construct_point=construct_point,
+        diameter=1.0, grid=grid, window=window, construct_point=construct_point,
     )
 
 

@@ -59,20 +59,18 @@ class CylinderUnion:
     cylinders: tuple
 
     def depth(self, sys, P):
-        rows = P.reshape(-1, P.shape[-1])       # a stacked block (..., width)
-        words = np.stack([np.asarray(sys.to_window(p).word) for p in rows])
-        c = (words.shape[1] - 1) // 2
+        words = sys.window(P)                   # (..., 2c+1) symbols at offsets -c..c
+        c = (words.shape[-1] - 1) // 2
         reach = max(max(abs(a), abs(a + len(w) - 1)) for w, a in self.cylinders)
         if reach > c:
             raise ValueError("cylinder word reaches offset %d, past the window "
                              "[-%d, %d]" % (reach, c, c))
-        inside = np.zeros(len(rows), dtype=bool)
+        inside = np.zeros(words.shape[:-1], dtype=bool)
         for word, anchor in self.cylinders:
             lo = c + anchor
-            seg = words[:, lo:lo + len(word)]
-            inside |= np.all(seg == np.asarray(word), axis=1)
+            inside |= np.all(words[..., lo:lo + len(word)] == np.asarray(word), axis=-1)
         # a ball of radius below 2^-(max constrained offset) stays inside
-        return np.where(inside, 2.0 ** (-(reach + 1)), -1.0).reshape(P.shape[:-1])
+        return np.where(inside, 2.0 ** (-(reach + 1)), -1.0)
 
     def arcs(self, coding):
         return None

@@ -1,5 +1,7 @@
 """The system zoo: constructor semantics, inverses, metrics, samplers."""
 
+import dataclasses
+import importlib.util
 import tracemalloc
 from pathlib import Path
 
@@ -139,8 +141,10 @@ def test_sturmian_code_examples():
 def test_sturmian_system_metric_and_windows():
     sys = make_sturmian(GOLDEN, L=10)
     z = np.array([0.2])
-    w = sys.to_window(z)
-    assert len(w.word) == 21 and w.provenance["alpha"] == pytest.approx(GOLDEN)
+    word = sys.window(z[None])[0]
+    assert word.dtype == np.int8 and word.shape == (21,)
+    code = sturmian_code(GOLDEN, 0.2, 10)
+    assert tuple(word) == code.word and code.provenance["alpha"] == pytest.approx(GOLDEN)
     # metric is 2^-(first differing offset)
     z2 = np.array([0.2 + 1e-9])
     assert sys.metric(z, z2) <= 1.0
@@ -314,6 +318,24 @@ def test_block_orbit_matches_point_orbits(sys):
             assert np.array_equal(B[:, i], sys.orbit_span(X[i], lo, hi))
     nested = sys.orbit_span(X.reshape((5, 1, -1)), -3, 4)
     assert np.array_equal(nested[:, :, 0], sys.orbit_span(X, -3, 4))
+
+
+def traced_callables():
+    """The handle callables perfbench's tracer wraps, read from the tracer."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tuple(tracing.SYSTEM_CALLABLES) + ("orbit_span",)
+
+
+def test_handle_protocol_is_its_fields():
+    # nothing bolted onto an instance, and every callable the tracer wraps
+    traced = traced_callables()
+    for sys in every_constructor():
+        assert vars(sys).keys() == {f.name for f in dataclasses.fields(sys)}, sys.name
+        for attr in traced:
+            assert callable(getattr(sys, attr)), (sys.name, attr)
 
 
 def test_fullshift_orbit_is_iterated_steps():

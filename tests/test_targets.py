@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from nillab.systems import (make_fullshift, make_rotation, make_sturmian,
-                            open_symbol_resolution, sample_points)
+from nillab.budgets import SearchBudget
+from nillab.systems import (SymbolicWindow, _window_distance, make_fullshift,
+                            make_rotation, make_sturmian, open_symbol_resolution,
+                            sample_points, sturmian_code)
 from nillab.targets import Ball, Cylinder, CylinderUnion
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -35,6 +37,72 @@ def test_cylinder_depth_on_stacked_blocks():
             assert got.shape == (5, 12)
             assert np.array_equal(got, np.stack([target.depth(sys, rows) for rows in block]))
             assert np.array_equal(got.ravel(), target.depth(sys, block.reshape(60, -1)))
+
+
+def test_cylinder_depth_on_an_empty_block():
+    # no rows, no depths: shape (0,), as a ball gives
+    for sys in (make_fullshift(2, L=8), make_sturmian(GOLDEN)):
+        P = sample_points(sys, 3, seed=0)[:0]
+        assert Ball(tuple(sample_points(sys, 1, seed=1)[0]), 0.3).depth(sys, P).shape == (0,)
+        for target in (Cylinder((1, 0), -1), CylinderUnion((((0,), 0), ((1, 1), 3)))):
+            assert target.depth(sys, P).shape == (0,)
+
+
+def one_row_windows(sys, L):
+    """A SymbolicWindow built from one point row: the one-row reading that
+    the block hook `window` must match."""
+    if sys.name == "sturmian":
+        return lambda point: sturmian_code(sys.coding.alpha, point[0], L)
+    center = (sys.sample_block(np.random.default_rng(0), 1).shape[-1] - 1) // 2
+    return lambda point: SymbolicWindow(
+        tuple(int(s) for s in point[center - L:center + L + 1]), 2)
+
+
+def one_row_depth(cylinders, row_window, P):
+    """CylinderUnion.depth read one row at a time, through one window object per row."""
+    rows = P.reshape(-1, P.shape[-1])
+    words = np.stack([np.asarray(row_window(p).word) for p in rows])
+    c = (words.shape[1] - 1) // 2
+    reach = max(max(abs(a), abs(a + len(w) - 1)) for w, a in cylinders)
+    inside = np.zeros(len(rows), dtype=bool)
+    for word, anchor in cylinders:
+        lo = c + anchor
+        seg = words[:, lo:lo + len(word)]
+        inside |= np.all(seg == np.asarray(word), axis=1)
+    return np.where(inside, 2.0 ** (-(reach + 1)), -1.0).reshape(P.shape[:-1])
+
+
+@pytest.mark.parametrize("sys, L", [(make_fullshift(2, L=8), 8),
+                                    (make_sturmian(GOLDEN, L=16), 16)],
+                         ids=["fullshift", "sturmian"])
+def test_block_window_depth_matches_one_row_windows(sys, L):
+    row_window = one_row_windows(sys, L)
+    X = sample_points(sys, 200, seed=5)
+    grid, _ = sys.grid(3, 0.25, SearchBudget())
+    blocks = [X, sys.orbit_span(X[:40], 0, 12), sys.orbit_span(X[:40], -12, 0), grid]
+    if sys.name == "sturmian":
+        blocks.append(np.array([[1.0], [0.0], [GOLDEN]]))
+    # words read off sampled rows, so that members occur
+    word = tuple(int(s) for s in row_window(X[0]).word[L - 2:L + 4])
+    targets = [Cylinder(word, -2), Cylinder((1, 0), -1), Cylinder((0,), L),
+               Cylinder((1, 1, 0), -L),
+               CylinderUnion(((word, -2), ((0, 0), 3), ((1,), -L)))]
+    members = 0
+    for P in blocks:
+        for target in targets:
+            cylinders = target.cylinders if isinstance(target, CylinderUnion) \
+                else ((target.word, target.anchor),)
+            got = target.depth(sys, P)
+            assert got.shape == P.shape[:-1]
+            assert np.array_equal(got, one_row_depth(cylinders, row_window, P))
+            members += int(np.sum(got > 0))
+        if sys.name == "sturmian":
+            # the metric reads the same windows as two symbols_block calls did
+            Q, offsets = np.roll(P, 1, axis=0), np.arange(-L, L + 1)
+            old = _window_distance(sys.coding.symbols_block(P[..., 0], offsets),
+                                   sys.coding.symbols_block(Q[..., 0], offsets), L)
+            assert np.array_equal(sys.metric_block(P, Q), old)
+    assert members > 0
 
 
 def test_ball_run_reads_the_center_row():
