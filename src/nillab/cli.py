@@ -37,7 +37,7 @@ from .complexity import complexity_curve
 from .cubes import RPWitness, cube_criterion, rp_test
 from .furstenberg import make_default_furstenberg, make_furstenberg
 from .independence import (Ball, Cylinder, SetTuple, check_independence,
-                           independence_ladder)
+                           empty_target, independence_ladder)
 from .nilgroup import load_group, named_group, validate_group
 from .nilmetric import BudgetError
 from .systems import (GridError, make_fullshift, make_nilsystem, make_rotation,
@@ -148,7 +148,8 @@ def parse_point(sys, text):
         word = np.array([int(c) for c in text], dtype=np.int8)
         point = sys.construct_point([(-(len(word) // 2), word)])
         if point is None:
-            raise ConfigError("word does not fit the configured window")
+            raise ConfigError("word %r is no point of this shift: it must fit the "
+                              "configured window and use symbols 0..k-1" % text)
         return point
     if sys.name == "furstenberg":
         vals = [_num(t) for t in text.split("/")]
@@ -173,6 +174,10 @@ def parse_targets(sys, text):
             targets.append(Ball(tuple(_coordinates(sys, center)), _num(radius)))
         else:
             raise ConfigError("unknown target kind %r" % kind)
+    empty = empty_target(sys, targets)
+    if empty is not None:
+        raise ConfigError("target %r is empty: it holds a symbol outside the alphabet"
+                          % text.split()[empty])
     return SetTuple(tuple(targets))
 
 

@@ -11,7 +11,6 @@ grid, deterministic for a fixed budget.
 from __future__ import annotations
 
 import heapq
-import inspect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -19,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .budgets import DEFAULT_BUDGET, SearchBudget
-from .systems import GridError, SystemHandle, wrap_dist_block
+from .systems import GridError, SystemHandle, cell_count, cell_index
 from .targets import Ball, CylinderUnion  # re-exported: the cover sets
 
 # random row pairs an exact grid is spot-checked on
@@ -104,12 +103,11 @@ def shadowing_net(sys: SystemHandle, n, epsilon, budget: SearchBudget = DEFAULT_
     shadowed by it, so each step tests only the time-0 neighbourhood of the
     net point: the 3^d cells around its own in a grid of K cells per axis
     over the time-0 points (`_time0_buckets`). Under the wrap-sup metric on
-    [0, 1]^d, K = max(1, floor(1/epsilon) - 1) makes every cell wider than
-    epsilon, so a point within epsilon lies at most one cell away on each
-    axis, cyclically. No such bound is proven for any other metric, which
-    gets K = 1: one cell holding the whole grid. The candidates then face the
-    same elementwise comparisons `metric <= epsilon` as a full scan, so the
-    net is the one the full scan builds.
+    [0, 1]^d, a point within epsilon lies at most one cell away on each axis,
+    cyclically (`systems.cell_count`). Every other metric gets K = 1: one
+    cell holding the whole grid. The candidates then face the same
+    elementwise comparisons `metric <= epsilon` as a full scan, so the net is
+    the one the full scan builds.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -153,16 +151,11 @@ def shadowing_net(sys: SystemHandle, n, epsilon, budget: SearchBudget = DEFAULT_
 
 
 def _time0_buckets(sys, base, epsilon):
-    """(buckets, cells, K): the rows of `base` grouped by their cell in a
-    grid of K cells per axis, as {cell tuple: row indices}, and each row's
-    cell. K > 1 only under the wrap-sup metric (or a decorator of it that
-    sets `__wrapped__`) with every coordinate in [0, 1]; `% 1.0` can give
-    exactly 1.0, which joins the last cell."""
-    K = 1
-    if inspect.unwrap(sys.metric_block) is wrap_dist_block \
-            and base.min() >= 0.0 and base.max() <= 1.0:
-        K = max(1, int(1.0 / epsilon) - 1)
-    cells = np.clip((base * K).astype(np.int64), 0, K - 1)
+    """(buckets, cells, K): the rows of `base` grouped by their cell in the
+    grid of `systems.cell_count`, as {cell tuple: row indices}, and each
+    row's cell."""
+    K = cell_count(sys, epsilon, base)
+    cells = cell_index(base, K)
     order = np.lexsort(cells.T)
     ranked = cells[order]
     starts = [0] + (np.flatnonzero(np.any(ranked[1:] != ranked[:-1], axis=1)) + 1).tolist()

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budgets import DEFAULT_BUDGET, SearchBudget
-from .systems import SystemHandle
+from .systems import SystemHandle, cell_count, cell_index
 from .targets import Ball
 
 
@@ -150,6 +150,25 @@ def rp_test(sys: SystemHandle, x, y, d, delta, budget: SearchBudget = DEFAULT_BU
 
     Success returns a validated RPWitness; failure returns a report dict with
     status "budget-exhausted" (never a claim of non-membership).
+
+    The scan pairs every x-candidate with every y-candidate and looks for
+    spiral exponents whose vertex times all bring the pair within delta.
+    Pruning: a pair within delta at time t lies, on every axis, in the same
+    or cyclically adjacent cells of a grid whose cells are wider than delta
+    (`systems.cell_count`). So if at every time some axis of an
+    x-candidate's point is more than one cell from every y-candidate's
+    point on that axis, no y-candidate comes within delta of it at any
+    time: its row of pairs has no close time, and the candidate is dropped.
+    y-candidates are dropped the same way. The bound needs the wrap-sup
+    metric with every coordinate in [0, 1]; under any other metric
+    (nilsystems, Furstenberg, symbolic systems, towers) K = 1, and with
+    K <= 3 every cell is next to every other, so nothing is dropped and no
+    table is built. The tables, one 64-bit cell mask per time and axis (K
+    is capped at 64, which keeps the cells wider than delta), cost about one
+    x-candidate's row of pairs, so they are built once the first row has
+    found nothing; a witness in the first row pays nothing. The surviving
+    pairs run in the unpruned order with the same metric call, so
+    witnesses, statuses and counts are those of the full scan.
     """
     if d < 1:
         raise ValueError("order d must be >= 1")
@@ -167,16 +186,23 @@ def rp_test(sys: SystemHandle, x, y, d, delta, budget: SearchBudget = DEFAULT_BU
     cand_y = _candidate_pool(sys, y, delta, budget, rng)
     spiral, span, idx = _spiral_index(budget, d, nonempty)
 
-    # one orbit per candidate, candidates first: (candidates, 2*span+1, dim)
-    orbits_x = np.ascontiguousarray(np.swapaxes(sys.orbit_span(cand_x, -span, span), 0, 1))
-    orbits_y = np.ascontiguousarray(np.swapaxes(sys.orbit_span(cand_y, -span, span), 0, 1))
+    # one orbit per candidate, (2*span+1, candidates, dim); y rows contiguous
+    orbits_x = sys.orbit_span(cand_x, -span, span)
+    orbits_y = sys.orbit_span(cand_y, -span, span)
+    rows_y = np.ascontiguousarray(np.swapaxes(orbits_y, 0, 1))
 
     # the first x candidate with a hit decides; among its y candidates the
     # witness first in spiral order wins, and every hit is re-validated
+    live_x, ys = None, range(len(cand_y))
     best = None
-    for ix, ox in enumerate(orbits_x):
-        for iy, oy in enumerate(orbits_y):
-            close = sys.metric_block(ox, oy) < delta       # (2*span+1,)
+    for ix in range(len(cand_x)):
+        if live_x is not None and not live_x[ix]:
+            continue
+        ox = np.ascontiguousarray(orbits_x[:, ix])
+        for iy in ys:
+            close = sys.metric_block(ox, rows_y[iy]) < delta       # (2*span+1,)
+            if not close.any():
+                continue
             s = _first_hit([close] * len(nonempty), idx)
             if s is None:
                 continue
@@ -188,9 +214,40 @@ def rp_test(sys: SystemHandle, x, y, d, delta, budget: SearchBudget = DEFAULT_BU
                                      tuple(np.ravel(cand_y[iy]).tolist()), n_vec, ach))
         if best is not None:
             return best[1]
+        if live_x is None:
+            live_x, live_y = _live_candidates(sys, delta, orbits_x, orbits_y)
+            ys = np.flatnonzero(live_y)
     return {"status": "budget-exhausted", "found": False,
             "pairs_checked": len(cand_x) * len(cand_y), "n_values": len(spiral),
             "note": "no witness at this budget; search cannot certify non-membership"}
+
+
+# cells per axis of the pruning tables: one bit of a uint64 per cell
+MASK_CELLS = 64
+
+
+def _live_candidates(sys, delta, orbits_x, orbits_y):
+    """(live_x, live_y): per candidate (axis 1 of the (times, candidates,
+    dim) orbit blocks), whether at some time its cell on every axis is next
+    to a cell the other pool occupies on that axis."""
+    K = min(cell_count(sys, delta, orbits_x, orbits_y), MASK_CELLS)
+    if K <= 3:
+        return np.ones(orbits_x.shape[1], dtype=bool), np.ones(orbits_y.shape[1], dtype=bool)
+    bits_x, bits_y = (np.left_shift(np.uint64(1), cell_index(o, K).view(np.uint64))
+                      for o in (orbits_x, orbits_y))
+    return (np.any(np.all(bits_x & _neighbourhood(bits_y, K)[:, None], axis=-1), axis=0),
+            np.any(np.all(bits_y & _neighbourhood(bits_x, K)[:, None], axis=-1), axis=0))
+
+
+def _neighbourhood(bits, K):
+    """occ[t, j]: the cells that candidates occupy on axis j at time t, and
+    their cyclic neighbours, as bits of a uint64; bits holds one bit per
+    coordinate, (times, candidates, dim)."""
+    occ = np.bitwise_or.reduce(bits, axis=1)
+    one, top = np.uint64(1), np.uint64(K - 1)
+    up = ((occ << one) & np.uint64((1 << K) - 1)) | (occ >> top)      # c -> c + 1
+    down = (occ >> one) | ((occ & one) << top)                        # c -> c - 1
+    return occ | up | down
 
 
 def _cube_gap(sys, z, n_vec, refs):

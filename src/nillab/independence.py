@@ -20,6 +20,7 @@ nillab.targets); a route applies when every target of the tuple has its form.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -105,8 +106,34 @@ def _route_context(sys: SystemHandle, sets: SetTuple):
     if sys.construct_point is not None:
         cons = [t.run() for t in sets.targets]
         if all(c is not None for c in cons):
-            return {"route": "constraints", "cons": cons}
+            return {"route": "constraints", "cons": cons,
+                    "empty": _empty_run(sys.construct_point, cons)}
     return {"route": "sampled"}
+
+
+def empty_target(sys: SystemHandle, targets):
+    """Index of the first target whose symbol run holds a symbol outside the
+    alphabet, so that no point lies in it; None if there is none or the
+    system builds no points from runs."""
+    if sys.construct_point is None:
+        return None
+    return _empty_run(sys.construct_point, [t.run() for t in targets])
+
+
+def _empty_run(construct_point, runs):
+    """Index of the first run, None skipped, with a symbol outside the alphabet."""
+    return next((i for i, run in enumerate(runs) if run is not None
+                 and not _in_alphabet(construct_point, run[1].tobytes())), None)
+
+
+@functools.lru_cache(maxsize=1024)
+def _in_alphabet(construct_point, symbols):
+    """Whether a system's points hold every symbol of a run (int8 bytes):
+    `construct_point` refuses a one-symbol run, which always fits, exactly
+    for a symbol outside the alphabet. Cached, as a probe costs about 20 us,
+    several times a whole route context."""
+    return all(construct_point([(0, np.frombuffer(bytes([s]), dtype=np.int8))]) is not None
+               for s in set(symbols))
 
 
 def check_independence(sys: SystemHandle, sets: SetTuple, F,
@@ -125,6 +152,14 @@ def check_independence(sys: SystemHandle, sets: SetTuple, F,
         return _check_exact_partition(sys, ctx["arcs"], F, n_patterns,
                                       boundaries=ctx["boundaries"])
     if route == "constraints":
+        if ctx["empty"] is not None:
+            i = ctx["empty"]
+            return IndependenceReport(
+                F=F, verified=False, method="exact-language", exact=True,
+                failures=[(i + 1,) * len(F)], patterns_checked=n_patterns,
+                realized_patterns=0,
+                note="target %d (%r) is empty: its run holds a symbol outside "
+                     "the alphabet" % (i + 1, sets.targets[i]))
         return _check_exact_constraints(sys, ctx["cons"], F, k)
     if n_patterns > budget.max_cells:
         raise ValueError("pattern count %d overflows the budget%s" % (

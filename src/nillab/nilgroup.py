@@ -52,6 +52,25 @@ class NilGroup:
         self.mul_polys = tuple(mul_polys)
         self.inv_polys = tuple(inv_polys)
         self.name = name
+        # a one-hot right factor peels in `reduce_block`, a one-hot left
+        # factor lifts in `lattice_coords`
+        self._peels = tuple(tuple((k, p) for k, p in self._one_hot_plan(i, True) if k != i)
+                            for i in range(self.dim))
+        self._lifts = tuple(self._one_hot_plan(i, False) for i in range(self.dim))
+
+    def _one_hot_plan(self, i, is_u):
+        """(coordinate, polynomial) pairs: the terms of each mul polynomial
+        whose u factors (t factors if not is_u) all read index i. Each other
+        term multiplies a zero of a factor that is zero off index i, so
+        dropping it changes a finite sum by the sign of a zero at most, which
+        reaches no nonzero value and no reduced coordinate (x - floor(x))."""
+        plan = []
+        for k, p in enumerate(self.mul_polys, 1):
+            kept = [term for term, (_, factors) in zip(p.terms, p.plan)
+                    if all(j == i for u_side, j, _ in factors if u_side == is_u)]
+            if kept:
+                plan.append((k, SparsePoly(kept)))
+        return tuple(plan)
 
     def __repr__(self):
         return "NilGroup(%r, dim=%d, step=%d)" % (self.name, self.dim, self.step)
@@ -83,10 +102,12 @@ class NilGroup:
 
         Returns (frac, n) with n the integer peeling exponents; the lattice
         part is basis_power(n_m)···basis_power(n_1), see `lattice_part`.
+        Peeling index i multiplies on the right by the row that is -n_i at i
+        and zero elsewhere, so only the terms of `_one_hot_plan` move.
         """
         f = np.array(t, dtype=float)
         ns = np.zeros(f.shape, dtype=np.int64)
-        peel = np.zeros(f.shape)
+        peel = np.zeros(f.shape)         # the plans read column i at step i only
         for i in range(self.dim):
             n_i = np.floor(f[..., i])
             # floor of a tiny negative gives frac 1.0 after rounding; renormalize
@@ -94,21 +115,24 @@ class NilGroup:
             bump = frac_i >= 1.0
             n_i = n_i + bump
             ns[..., i] = n_i
-            peel[...] = 0.0
             peel[..., i] = -n_i
-            f = self.mul_block(f, peel)
+            # every increment from the row before the step, as mul_block reads it
+            for k, inc in [(k, p(f, peel)) for k, p in self._peels[i]]:
+                f[..., k] += inc
             f[..., i] = np.where(bump, frac_i - 1.0, frac_i)
         return f, ns
 
     def lattice_coords(self, ns):
-        """Coordinates of the lattice element produced by `reduce_block`."""
-        ns = np.asarray(ns)
-        gamma = np.zeros(ns.shape)
-        e = np.zeros(ns.shape)
+        """Coordinates of the lattice element produced by `reduce_block`:
+        the products e_i · gamma for the rows e_i that hold n_i at i and zero
+        elsewhere, so only the terms of `_one_hot_plan` move."""
+        e = np.asarray(ns, dtype=float)  # the plans read column i at step i only
+        gamma = np.zeros(e.shape)
         for i in range(self.dim):
-            e[...] = 0.0
-            e[..., i] = ns[..., i]
-            gamma = self.mul_block(e, gamma)
+            incs = [(k, p(e, gamma)) for k, p in self._lifts[i]]
+            gamma[..., i] += e[..., i]
+            for k, inc in incs:
+                gamma[..., k] += inc
         return np.rint(gamma)
 
     def save_json(self, path):

@@ -14,6 +14,7 @@ window; windows equal on the whole stored range count as distance 0.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,6 +38,28 @@ def wrap_dist_block(P, Q):
     for j in range(1, near.shape[-1]):
         np.maximum(out, near[..., j], out=out)
     return out[()]                       # a numpy scalar for a single pair, as np.max gives
+
+
+def cell_count(sys, radius, *blocks):
+    """Cells per axis K of a grid in which two points within radius of each
+    other lie, on every axis, in the same or cyclically adjacent cells.
+
+    Under the wrap-sup metric on [0, 1]^d, K = max(1, floor(1/radius) - 1)
+    makes every cell wider than radius, and so does any smaller K. K > 1
+    only under that metric (or a decorator of it that sets `__wrapped__`)
+    with every coordinate of every block in [0, 1]. No such bound is proven
+    for any other metric, which gets K = 1: one cell.
+    """
+    if inspect.unwrap(sys.metric_block) is wrap_dist_block \
+            and all(not b.size or (b.min() >= 0.0 and b.max() <= 1.0) for b in blocks):
+        return max(1, int(1.0 / radius) - 1)
+    return 1
+
+
+def cell_index(block, K):
+    """Cell of each coordinate of a block in [0, 1] on a grid of K cells per
+    axis, as int64; `% 1.0` can give exactly 1.0, which joins the last cell."""
+    return np.clip((block * K).astype(np.int64), 0, K - 1)
 
 
 class GridError(ValueError):
@@ -408,7 +431,8 @@ def make_fullshift(k, L=8, reserve=128) -> SystemHandle:
         return P[..., center - L:center + L + 1]
 
     def construct_point(constraints):
-        """Point holding the given symbol runs; None on conflict or overflow."""
+        """Point holding the given symbol runs; None on conflict, overflow or
+        a symbol outside 0..k-1."""
         out = np.zeros(width, dtype=np.int8)
         runs = [(center + int(offset), np.asarray(symbols, dtype=np.int8))
                 for offset, symbols in constraints]
@@ -418,13 +442,17 @@ def make_fullshift(k, L=8, reserve=128) -> SystemHandle:
             return out
         starts = np.array([start for start, _ in runs])
         sizes = np.array([run.size for _, run in runs])
+        ends = np.cumsum(sizes)
         # one scatter of the concatenated runs (entry i of a run lands at its
         # start + i); a position two runs disagree on keeps only one of their
         # symbols, so the read-back differs there
-        pos = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
+        pos = np.repeat(starts - ends + sizes, sizes) + np.arange(ends[-1])
         symbols = np.concatenate([run for _, run in runs])
         out[pos] = symbols
-        return out if np.array_equal(out[pos], symbols) else None
+        # as bytes, negative symbols read as 128 and up
+        if max(symbols.tobytes(), default=0) >= k or not (out[pos] == symbols).all():
+            return None
+        return out
 
     def orbit(X, lo, hi):
         # row t is the stored range of T^t x, with x zero outside that range

@@ -376,3 +376,16 @@ def test_entry_point_exit_codes(tmp_path):
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["ip-search", "--system", "fullshift:k=2", "--targets", "cyl:0@0 cyl:5@0",
+     "--m", "1", "--bound", "3", "--seed", "0", "--out"],
+    ["ind-check", "--system", "fullshift:k=3", "--targets", "cyl:0@0 cyl:13@1",
+     "--F", "0,1", "--seed", "0", "--out-json"],
+    ["simulate", "--system", "fullshift:k=2", "--start", "0157", "--steps", "3", "--out"],
+])
+def test_fullshift_symbol_outside_the_alphabet_is_a_config_error(tmp_path, argv, capsys):
+    out = tmp_path / "o.out"
+    assert run(argv + [str(out)]) == 2
+    assert "config error" in capsys.readouterr().err and not out.exists()

@@ -8,11 +8,13 @@ import pytest
 from nillab import cubes
 from nillab.budgets import SearchBudget
 from nillab.cubes import (POOL_CAP, Cube, FaceMove, RPWitness, _ball_visits,
-                          _candidate_pool, apply_face, cube_criterion, rp_test,
-                          sample_cube, validate_rp_witness, vertex_set)
+                          _candidate_pool, _first_hit, _live_candidates, _spiral_index,
+                          apply_face, cube_criterion, rp_test, sample_cube,
+                          validate_rp_witness, vertex_set)
+from nillab.furstenberg import furstenberg_point, make_furstenberg
 from nillab.nilgroup import heisenberg3
-from nillab.systems import (make_fullshift, make_nilsystem, make_rotation,
-                            make_skew_product)
+from nillab.systems import (cell_count, cell_index, make_fullshift, make_nilsystem,
+                            make_rotation, make_skew_product)
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -306,3 +308,150 @@ def test_cube_scan_matches_one_call_per_point(monkeypatch, case, scan_rows):
     want = cube_criterion(sys, x1, x2, d, delta, budget)
     assert scans == [budget.max_candidates] and got == want
     assert len(got["failures"]) == n_failures
+
+
+# -- rp_test's pruned pair scan against the loop it replaced --------------------
+
+
+def unpruned_rp_test(sys, x, y, d, delta, budget):
+    """Reference search: every x-candidate against every y-candidate, one
+    metric call and one `_first_hit` per pair."""
+    x, y = np.asarray(x), np.asarray(y)
+    rng = np.random.default_rng(budget.seed)
+    nonempty = [eps for eps in vertex_set(d) if any(eps)]
+    if sys.metric(x, y) < delta:
+        return RPWitness(tuple(np.ravel(x).tolist()), tuple(np.ravel(y).tolist()),
+                         (0,) * d, validate_rp_witness(sys, x, y, x, y, (0,) * d))
+    cand_x = _candidate_pool(sys, x, delta, budget, rng)
+    cand_y = _candidate_pool(sys, y, delta, budget, rng)
+    spiral, span, idx = _spiral_index(budget, d, nonempty)
+    orbits_x = np.ascontiguousarray(np.swapaxes(sys.orbit_span(cand_x, -span, span), 0, 1))
+    orbits_y = np.ascontiguousarray(np.swapaxes(sys.orbit_span(cand_y, -span, span), 0, 1))
+    best = None
+    for ix, ox in enumerate(orbits_x):
+        for iy, oy in enumerate(orbits_y):
+            s = _first_hit([sys.metric_block(ox, oy) < delta] * len(nonempty), idx)
+            if s is None:
+                continue
+            n_vec = tuple(int(v) for v in spiral[s])
+            ach = validate_rp_witness(sys, x, y, cand_x[ix], cand_y[iy], n_vec, delta=delta)
+            if best is None or s < best[0]:
+                best = (s, RPWitness(tuple(np.ravel(cand_x[ix]).tolist()),
+                                     tuple(np.ravel(cand_y[iy]).tolist()), n_vec, ach))
+        if best is not None:
+            return best[1]
+    return {"status": "budget-exhausted", "found": False,
+            "pairs_checked": len(cand_x) * len(cand_y), "n_values": len(spiral),
+            "note": "no witness at this budget; search cannot certify non-membership"}
+
+
+def assert_rp_matches_unpruned(sys, x, y, d, delta, budget):
+    res = rp_test(sys, x, y, d, delta, budget)
+    assert repr(res) == repr(unpruned_rp_test(sys, x, y, d, delta, budget))
+    return res
+
+
+def pruning_cells(sys, x, y, delta, budget):
+    """K of rp_test's pruning grid for the pair, from its candidate orbits."""
+    rng = np.random.default_rng(budget.seed)
+    cands = [_candidate_pool(sys, p, delta, budget, rng) for p in (x, y)]
+    span = _spiral_index(budget, 1, [(1,)])[1]
+    return cell_count(sys, delta, *[sys.orbit_span(c, -span, span) for c in cands])
+
+
+def furstenberg_pair():
+    fu = make_furstenberg(GOLDEN, [(1, 1), (2, 2)])
+    return fu, furstenberg_point(fu, 0.1, 0.2), furstenberg_point(fu, 0.1, 0.6)
+
+
+def fullshift_pair():
+    fsh = make_fullshift(2, L=4)
+    return (fsh,) + tuple(fsh.sample_block(np.random.default_rng(3), 2))
+
+
+@pytest.mark.parametrize("case", [
+    "rotation-far", "rotation-near", "rotation-far-d2", "torus2-far", "torus2-near",
+    "skew-d1", "skew-d2", "furstenberg", "heisenberg", "fullshift"])
+def test_rp_test_pruning_matches_unpruned_scan(case):
+    rot, skew = make_rotation([GOLDEN]), make_skew_product(GOLDEN)
+    rot2 = make_rotation([GOLDEN, np.sqrt(2.0) - 1.0])
+    small = SearchBudget(max_candidates=300, n_range=400, seed=0)
+    torus2 = SearchBudget(max_candidates=1000, n_range=200, seed=0)
+    # (system, x, y, d, delta, budget, K, found)
+    sys, x, y, d, delta, budget, K, found = {
+        # an isometry keeps far candidates far: every candidate is dropped
+        "rotation-far": (rot, [0.1], [0.4], 1, 0.05, small, 19, False),
+        # 0.12 apart: the first row is empty, some candidates are dropped
+        # and a later row finds the witness
+        "rotation-near": (rot, [0.1], [0.22], 1, 0.05, small, 19, True),
+        "rotation-far-d2": (rot, [0.1], [0.4], 2, 0.05,
+                            SearchBudget(max_candidates=200, n_range=30, seed=1), 19, False),
+        "torus2-far": (rot2, [0.1, 0.1], [0.1, 0.4], 1, 0.05, torus2, 19, False),
+        "torus2-near": (rot2, [0.1, 0.1], [0.22, 0.1], 1, 0.05, torus2, 19, True),
+        "skew-d1": (skew, [0.2, 0.1], [0.2, 0.7], 1, 0.05, small, 19, True),
+        "skew-d2": (skew, [0.2, 0.1], [0.2, 0.7], 2, 0.05,
+                    SearchBudget(max_candidates=400, n_range=60, seed=1), 19, False),
+        # the K = 1 path: metrics other than the wrap-sup one drop nothing
+        "furstenberg": furstenberg_pair() + (1, 0.05, SearchBudget(max_candidates=100,
+                                                                   n_range=30, seed=0), 1, True),
+        "heisenberg": (make_nilsystem(heisenberg3(), [GOLDEN, np.sqrt(2.0) / 2.0, 0.0]),
+                       [0.1, 0.2, 0.3], [0.1, 0.2, 0.8], 1, 0.1,
+                       SearchBudget(max_candidates=60, n_range=8, seed=0), 1, False),
+        "fullshift": fullshift_pair() + (2, 0.05, SearchBudget(max_candidates=64,
+                                                               n_range=40, seed=1), 1, True),
+    }[case]
+    x, y = np.asarray(x), np.asarray(y)
+    assert pruning_cells(sys, x, y, delta, budget) == K
+    res = assert_rp_matches_unpruned(sys, x, y, d, delta, budget)
+    assert isinstance(res, RPWitness) == found
+
+
+def test_rp_test_with_an_empty_pool_is_exhausted():
+    # a NaN point is within delta of nothing, itself included
+    rot = make_rotation([GOLDEN])
+    budget = SearchBudget(max_candidates=100, n_range=50, seed=0)
+    for x, y in (([0.1], [np.nan]), ([np.nan], [0.1])):
+        res = assert_rp_matches_unpruned(rot, np.array(x), np.array(y), 1, 0.05, budget)
+        assert res["status"] == "budget-exhausted" and res["pairs_checked"] == 0
+
+
+def test_rp_test_pruning_drops_every_far_rotation_candidate():
+    rot = make_rotation([GOLDEN])
+    rng = np.random.default_rng(0)
+    budget = SearchBudget(max_candidates=300, n_range=400, seed=0)
+    orbits = [rot.orbit_span(_candidate_pool(rot, np.array([p]), 0.05, budget, rng), -400, 400)
+              for p in (0.1, 0.4)]
+    live_x, live_y = _live_candidates(rot, 0.05, *orbits)
+    assert not live_x.any() and not live_y.any()
+
+
+@pytest.mark.parametrize("K", [4, 9, 19])
+@pytest.mark.parametrize("side", [-1, 0, 1])
+def test_rp_test_cell_edge_delta(K, side):
+    # delta one ulp either side of 1/(K+1), where the K rule steps
+    delta = float(np.nextafter(1.0 / (K + 1), side * np.inf)) if side else 1.0 / (K + 1)
+    rot = make_rotation([GOLDEN])
+    assert cell_count(rot, delta, np.array([[0.5]])) == max(1, int(1.0 / delta) - 1)
+    budget = SearchBudget(max_candidates=200, n_range=200, seed=0)
+    for y in (0.1 + 2.5 * delta, 0.1 + 3.5 * delta):
+        assert_rp_matches_unpruned(rot, np.array([0.1]), np.array([y]), 1, delta, budget)
+    # points just under delta apart, across every cell edge and the wrap,
+    # keep both candidates alive
+    k = cell_count(rot, delta, np.array([[0.5]]))
+    edges = np.r_[np.arange(k) / k, 1.0]
+    for a in np.r_[edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0)]:
+        for b in (a + 0.999 * delta, a - 0.999 * delta):
+            P = np.array([[[a % 1.0 if a != 1.0 else 1.0]]])
+            Q = np.array([[[b % 1.0]]])
+            if rot.metric(P[0, 0], Q[0, 0]) < delta:
+                assert all(live.all() for live in _live_candidates(rot, delta, P, Q))
+
+
+def test_rp_test_orbit_coordinate_one_joins_last_cell():
+    rot = make_rotation([GOLDEN])
+    K = cell_count(rot, 0.05, np.array([1.0]))
+    assert K == 19 and cell_index(np.array([1.0]), K)[0] == K - 1
+    one, zero, mid = (np.array([[[v]]]) for v in (1.0, 0.0, 0.5))
+    # 1.0 and 0.0 are the same point of the circle: the last cell is next to cell 0
+    assert all(live.all() for live in _live_candidates(rot, 0.05, one, zero))
+    assert not any(live.any() for live in _live_candidates(rot, 0.05, one, mid))

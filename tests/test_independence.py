@@ -381,3 +381,37 @@ def test_constraint_witnesses_match_run_by_run_conversion_on_the_ladder():
         assert {p: w.tobytes() for p, w in rep.witnesses.items()} == witnesses
         # runs past the stored range [-136, 136] build no witness (m = 8)
         assert len(witnesses) == (min(2 ** len(F), 64) if max(F) <= 136 else 0)
+
+
+# -- symbols outside the alphabet ------------------------------------------------
+
+
+@pytest.mark.parametrize("targets,empty", [
+    ((Cylinder((0,), 0), Cylinder((5,), 0)), 2),
+    ((Cylinder((1, 2), -1), Cylinder((0,), 0)), 1),
+    ((Cylinder((0,), 0), Cylinder((1, -1), 3)), 2),
+])
+def test_fullshift_target_outside_the_alphabet_is_empty(targets, empty):
+    # {x : x_0 = 5} is empty in {0,1}^Z: no F is an independence set for it
+    fsh = make_fullshift(2)
+    for F in ((0, 1, 2), (0,), (0, 7)):
+        rep = check_independence(fsh, SetTuple(targets), F)
+        assert not rep.verified and rep.exact and not rep.witnesses
+        assert rep.failures == [(empty,) * len(F)]
+        assert "target %d (%r) is empty" % (empty, targets[empty - 1]) in rep.note
+    ip, rep = find_ip_independence(fsh, SetTuple(targets), 1, 3)
+    assert ip is None and rep["status"] == "exhausted"
+
+
+def test_fullshift_alphabet_bounds_construct_point():
+    fsh3 = make_fullshift(3, L=4)
+    assert fsh3.construct_point([(0, np.array([0, 1, 2], dtype=np.int8))]) is not None
+    for bad in ([3], [0, 5], [-1], [127]):
+        assert fsh3.construct_point([(0, np.array([0], dtype=np.int8)),
+                                     (2, np.array(bad, dtype=np.int8))]) is None
+    # a symbol of a larger alphabet is fine there
+    assert independence.empty_target(fsh3, (Cylinder((2,), 0),)) is None
+    assert independence.empty_target(make_fullshift(2), (Cylinder((2,), 0),)) == 0
+    # the check needs no room: a one-symbol probe fits any stored range
+    tiny = make_fullshift(2, L=0, reserve=0)
+    assert independence.empty_target(tiny, (Cylinder((1, 0, 1), 5),)) is None

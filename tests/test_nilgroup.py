@@ -326,3 +326,64 @@ def test_planned_poly_matches_the_term_loop():
     assert same_bits(poly(t[:, None], u[None, :7]), term_loop(poly, t[:, None], u[None, :7]))
     assert poly.arity == 3 and poly.uses_u()
     assert not SparsePoly([(1.0, (1, 1), ())]).uses_u()
+
+
+# -- the one-hot peel against the mul_block peel it replaced -------------------
+
+def mul_reduce(grp, t):
+    """Reference reduction: one full `mul_block` per peeled index."""
+    f = np.array(t, dtype=float)
+    ns = np.zeros(f.shape, dtype=np.int64)
+    peel = np.zeros(f.shape)
+    for i in range(grp.dim):
+        n_i = np.floor(f[..., i])
+        frac_i = f[..., i] - n_i
+        bump = frac_i >= 1.0
+        n_i = n_i + bump
+        ns[..., i] = n_i
+        peel[...] = 0.0
+        peel[..., i] = -n_i
+        f = grp.mul_block(f, peel)
+        f[..., i] = np.where(bump, frac_i - 1.0, frac_i)
+    return f, ns
+
+
+def mul_lattice_coords(grp, ns):
+    """Reference lattice lift: one full `mul_block` per index."""
+    ns = np.asarray(ns)
+    gamma = np.zeros(ns.shape)
+    e = np.zeros(ns.shape)
+    for i in range(grp.dim):
+        e[...] = 0.0
+        e[..., i] = ns[..., i]
+        gamma = grp.mul_block(e, gamma)
+    return np.rint(gamma)
+
+
+def peel_rows(m):
+    rng = np.random.default_rng(29)
+    edge = [0.0, -0.0, -1e-17, 3.0 - 1e-16, 1.0 - 1e-17, np.nan, np.inf, -np.inf]
+    rows = [rng.uniform(-4, 4, (400, m)),
+            rng.integers(-5, 6, (50, m)).astype(float),
+            # every edge value at every coordinate, over random rows
+            np.array([np.r_[rng.uniform(-4, 4, j), v, rng.uniform(-4, 4, m - j - 1)]
+                      for v in edge for j in range(m)]),
+            np.array([[v] * m for v in edge]),
+            rng.choice(edge, (200, m))]
+    return np.vstack(rows)
+
+
+@pytest.mark.parametrize("grp", [
+    H, abelian(1), abelian(3),
+    load_group(str(Path(__file__).parent / "golden" / "filiform4.json")),
+], ids=lambda g: g.name)
+def test_one_hot_peel_matches_the_mul_block_peel(grp):
+    X = peel_rows(grp.dim)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for x in (X, X.reshape(-1, 2, grp.dim) if len(X) % 2 == 0 else X[:-1], X[0]):
+            frac, ns = grp.reduce_block(x)
+            want_frac, want_ns = mul_reduce(grp, x)
+            assert same_bits(frac, want_frac) and np.array_equal(ns, want_ns)
+            assert same_bits(grp.lattice_coords(ns), mul_lattice_coords(grp, ns))
+        big = np.random.default_rng(31).integers(-10 ** 6, 10 ** 6, (100, grp.dim))
+        assert same_bits(grp.lattice_coords(big), mul_lattice_coords(grp, big))
