@@ -21,8 +21,6 @@ ORBIT_BLOCK = 65536
 
 @dataclass
 class AverageTrace:
-    observable_id: str
-    start: tuple
     n_grid: tuple
     averages: tuple
     oscillation: float
@@ -43,8 +41,7 @@ def geometric_grid(n_max):
     return grid
 
 
-def birkhoff(sys: SystemHandle, f, x, n_grid=None, n_max=None,
-             observable_id="f") -> AverageTrace:
+def birkhoff(sys: SystemHandle, f, x, n_grid=None, n_max=None) -> AverageTrace:
     """Partial averages (1/N) sum_{i<N} f(T^i x) at each N in the grid.
 
     One orbit pass in blocks of ORBIT_BLOCK steps; the telescoping identity
@@ -78,9 +75,7 @@ def birkhoff(sys: SystemHandle, f, x, n_grid=None, n_max=None,
     tail_from = max(1, top // 10)
     tail = [a for n, a in zip(n_grid, averages) if n >= tail_from]
     osc = float(max(tail) - min(tail)) if len(tail) >= 2 else 0.0
-    return AverageTrace(observable_id=observable_id,
-                        start=tuple(np.ravel(np.asarray(x, dtype=float)).tolist()),
-                        n_grid=tuple(n_grid), averages=tuple(averages),
+    return AverageTrace(n_grid=tuple(n_grid), averages=tuple(averages),
                         oscillation=osc, tail_from=tail_from)
 
 
@@ -106,23 +101,16 @@ def unique_ergodicity_probe(sys: SystemHandle, observables, starts, n_max):
     """
     if len(observables) < 3 or len(starts) < 3:
         raise ValueError("need at least 3 observables and 3 starts")
-    traces = {}
     spreads = {}
     for f in observables:
-        fid = getattr(f, "observable_id", repr(f))
-        finals = []
-        for x in starts:
-            tr = birkhoff(sys, f, x, n_max=n_max, observable_id=fid)
-            traces[(fid, tr.start)] = tr
-            finals.append(tr.final())
-        spreads[fid] = float(max(finals) - min(finals))
+        finals = [birkhoff(sys, f, x, n_max=n_max).final() for x in starts]
+        spreads[getattr(f, "observable_id", repr(f))] = float(max(finals) - min(finals))
     worst = max(spreads.values())
     eta = 0.01
     verdict = ("consistent with unique ergodicity at resolution %g" % eta
                if worst <= eta else "start-dependent averages detected")
     return {"spreads": spreads, "max_spread": worst, "eta": eta,
             "verdict": verdict, "n_max": int(n_max),
-            "traces": traces,
             "note": "empirical probe: finite-orbit evidence only"}
 
 

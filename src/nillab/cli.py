@@ -78,6 +78,8 @@ def parse_descriptor(text):
             k, _, v = item.partition("=")
             if not _:
                 raise ConfigError("bad descriptor item %r" % item)
+            if k.strip() in params:
+                raise ConfigError("descriptor repeats key %r" % k.strip())
             params[k.strip()] = v.strip()
     return name.strip(), params
 
@@ -88,33 +90,45 @@ def _vector(params, key):
     return [_num(t) for t in params[key].split("/")]
 
 
+def _furstenberg(p):
+    if ("K" if "coeffs" in p else "alpha") in p:
+        raise ConfigError("furstenberg takes alpha=... with coeffs=..., K=... without")
+    lam = _num(p.get("lam", "1"))
+    if "coeffs" in p:
+        return make_furstenberg(_num(p.get("alpha", "golden")),
+                                load_coeffs_csv(p["coeffs"]), lam=lam)
+    return make_default_furstenberg(K=int(p.get("K", 30)), lam=lam)
+
+
+# each system constructor's descriptor keys, and its builder from the key values
+SYSTEMS = {
+    "rotation": (("alpha",), lambda p: make_rotation(_vector(p, "alpha"))),
+    "skew": (("alpha",), lambda p: make_skew_product(_num(p.get("alpha", "golden")))),
+    "sturmian": (("alpha", "L"), lambda p: make_sturmian(_num(p.get("alpha", "golden")),
+                                                         L=int(p.get("L", 16)))),
+    "fullshift": (("k", "L", "reserve"), lambda p: make_fullshift(
+        int(p.get("k", 2)), L=int(p.get("L", 8)), reserve=int(p.get("reserve", 128)))),
+    "nilsystem": (("group", "tau"), lambda p: make_nilsystem(
+        load_group(p.get("group", "heisenberg3")), _vector(p, "tau"))),
+    "heisenberg": (("a", "b", "c"), lambda p: make_nilsystem(named_group("heisenberg3"), [
+        _num(p.get("a", "golden")), _num(p.get("b", "0.7071067811865476")),
+        _num(p.get("c", "0"))])),
+    "furstenberg": (("alpha", "coeffs", "K", "lam"), _furstenberg),
+}
+
+
 def build_system(descriptor):
+    """The system a descriptor names; a key its constructor does not take,
+    or a repeated key, is a configuration error."""
     name, p = parse_descriptor(descriptor)
-    if name == "rotation":
-        return make_rotation(_vector(p, "alpha"))
-    if name == "skew":
-        return make_skew_product(_num(p.get("alpha", "golden")))
-    if name == "sturmian":
-        return make_sturmian(_num(p.get("alpha", "golden")), L=int(p.get("L", 16)))
-    if name == "fullshift":
-        return make_fullshift(int(p.get("k", 2)), L=int(p.get("L", 8)),
-                              reserve=int(p.get("reserve", 128)))
-    if name == "nilsystem":
-        group = load_group(p.get("group", "heisenberg3"))
-        tau = _vector(p, "tau")
-        return make_nilsystem(group, tau)
-    if name == "heisenberg":
-        group = named_group("heisenberg3")
-        tau = [_num(p.get("a", "golden")), _num(p.get("b", "0.7071067811865476")),
-               _num(p.get("c", "0"))]
-        return make_nilsystem(group, tau)
-    if name == "furstenberg":
-        lam = _num(p.get("lam", "1"))
-        if "coeffs" in p:
-            coeffs = load_coeffs_csv(p["coeffs"])
-            return make_furstenberg(_num(p.get("alpha", "golden")), coeffs, lam=lam)
-        return make_default_furstenberg(K=int(p.get("K", 30)), lam=lam)
-    raise ConfigError("unknown system constructor %r" % name)
+    if name not in SYSTEMS:
+        raise ConfigError("unknown system constructor %r" % name)
+    keys, build = SYSTEMS[name]
+    unknown = sorted(set(p) - set(keys))
+    if unknown:
+        raise ConfigError("%s takes the keys %s, not %s"
+                          % (name, ", ".join(keys), ", ".join(unknown)))
+    return build(p)
 
 
 def load_coeffs_csv(path):
@@ -330,9 +344,7 @@ def cmd_averages(args, sys_, x):
         return 0
     if len(observables) != 1:
         raise ConfigError("averages without --probe takes one observable")
-    obs = observables[0]
-    tr = birkhoff(sys_, obs, x, n_max=args.n_max,
-                  observable_id=getattr(obs, "observable_id", "f"))
+    tr = birkhoff(sys_, observables[0], x, n_max=args.n_max)
     rows = [{"N": n, "A_N": a} for n, a in zip(tr.n_grid, tr.averages)]
     reports.write_csv(args.out, ["N", "A_N"],
                       rows, resolved_config(args, {"oscillation": tr.oscillation}))

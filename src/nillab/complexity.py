@@ -19,7 +19,7 @@ import numpy as np
 
 from .budgets import DEFAULT_BUDGET, SearchBudget
 from .systems import GridError, SystemHandle, cell_count, cell_index
-from .targets import Ball, CylinderUnion  # re-exported: the cover sets
+from .targets import Ball, CylinderUnion, visits  # Ball, CylinderUnion: re-exported
 
 # random row pairs an exact grid is spot-checked on
 CROSSCHECK_PAIRS = 128
@@ -295,13 +295,11 @@ def _join_coverage(sys, cover, grid, n, budget):
     """Boolean (cells, grid points) matrix of the join cells: the distinct
     deepest-containment itineraries of the grid points, in lexicographic
     order, each covering the points that lie in its set at every time."""
-    depth = np.empty((n + 1, len(grid), len(cover.sets)))
-    for t, P in enumerate(sys.orbit_span(grid, 0, n)):
-        depth[t] = cover.depth(sys, P)
-    member = np.ascontiguousarray((depth > 0).transpose(0, 2, 1))   # (n+1, sets, G)
+    depth = visits(sys, cover.sets, grid, range(n + 1), member=False)   # (sets, G, n+1)
+    member = np.ascontiguousarray((depth > 0).transpose(2, 0, 1))   # (n+1, sets, G)
     # return_inverse keeps np.unique on its argsort path; the in-place sort
     # it takes otherwise raises a process's peak RSS by about 1 MB
-    cells = np.unique(np.argmax(depth, axis=2).T, axis=0, return_inverse=True)[0]
+    cells = np.unique(np.argmax(depth, axis=0), axis=0, return_inverse=True)[0]
     if len(cells) * len(grid) > budget.max_cells * 64:
         raise GridError("join-cell coverage matrix exceeds budget")
     coverage = member[0, cells[:, 0]]

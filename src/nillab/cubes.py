@@ -22,7 +22,7 @@ import numpy as np
 
 from .budgets import DEFAULT_BUDGET, SearchBudget
 from .systems import SystemHandle, cell_count, cell_index
-from .targets import Ball
+from .targets import Ball, visits
 
 
 def vertex_set(d):
@@ -192,28 +192,27 @@ def rp_test(sys: SystemHandle, x, y, d, delta, budget: SearchBudget = DEFAULT_BU
     rows_y = np.ascontiguousarray(np.swapaxes(orbits_y, 0, 1))
 
     # the first x candidate with a hit decides; among its y candidates the
-    # witness first in spiral order wins, and every hit is re-validated
+    # one first in spiral order (then in pool order) wins, and only that
+    # witness is re-validated
     live_x, ys = None, range(len(cand_y))
-    best = None
     for ix in range(len(cand_x)):
         if live_x is not None and not live_x[ix]:
             continue
         ox = np.ascontiguousarray(orbits_x[:, ix])
+        best = None
         for iy in ys:
             close = sys.metric_block(ox, rows_y[iy]) < delta       # (2*span+1,)
             if not close.any():
                 continue
             s = _first_hit([close] * len(nonempty), idx)
-            if s is None:
-                continue
-            n_vec = tuple(int(v) for v in spiral[s])
-            ach = validate_rp_witness(sys, x, y, cand_x[ix], cand_y[iy], n_vec,
-                                      delta=delta)
-            if best is None or s < best[0]:
-                best = (s, RPWitness(tuple(np.ravel(cand_x[ix]).tolist()),
-                                     tuple(np.ravel(cand_y[iy]).tolist()), n_vec, ach))
+            if s is not None and (best is None or s < best[0]):
+                best = (s, iy)
         if best is not None:
-            return best[1]
+            n_vec = tuple(int(v) for v in spiral[best[0]])
+            xa, ya = cand_x[ix], cand_y[best[1]]
+            ach = validate_rp_witness(sys, x, y, xa, ya, n_vec, delta=delta)
+            return RPWitness(tuple(np.ravel(xa).tolist()), tuple(np.ravel(ya).tolist()),
+                             n_vec, ach)
         if live_x is None:
             live_x, live_y = _live_candidates(sys, delta, orbits_x, orbits_y)
             ys = np.flatnonzero(live_y)
@@ -348,24 +347,6 @@ def _construct_pattern(sys, runs, assignment):
     return None if z is None else (z, n_vec)
 
 
-# orbit rows per depth call of the cube scan, which bounds its memory: a
-# chunk's calls peak near 32 MB on heisenberg3 and 45 MB on a full shift
-SCAN_ROWS = 1 << 14
-
-
-def _ball_visits(sys, balls, zs, span):
-    """near[which][z, t + span]: T^t zs[z] in ball `which`, t in [-span, span],
-    from one orbit_span and one depth call per ball for each chunk of about
-    SCAN_ROWS orbit rows; depths are row-wise (see `dist_quotient_block`)."""
-    step = max(1, SCAN_ROWS // (2 * span + 1))
-    near = {which: np.empty((len(zs), 2 * span + 1), dtype=bool) for which in balls}
-    for lo in range(0, len(zs), step):
-        orbit = sys.orbit_span(zs[lo:lo + step], -span, span)
-        for which, ball in balls.items():
-            near[which][lo:lo + step] = (ball.depth(sys, orbit) > 0).T
-    return near
-
-
 def _cube_scan(sys, balls, d, budget):
     """Sampler/orbit scan over base points and the exponent spiral: returns
     find(assignment) -> (z, n_vec) or None, the first base point in pool
@@ -378,11 +359,12 @@ def _cube_scan(sys, balls, d, budget):
     zs = zs[:budget.max_candidates]
     verts = vertex_set(d)
     spiral, span, idx = _spiral_index(budget, d, verts)
-    near = _ball_visits(sys, balls, zs, span)
+    # near[which - 1, z, t + span]: T^t zs[z] in ball `which`, t in [-span, span]
+    near = visits(sys, [balls[1], balls[2]], zs, range(-span, span + 1), member=True)
 
     def find(assignment):
         for zi, z in enumerate(zs):
-            s = _first_hit([near[assignment[eps]][zi] for eps in verts], idx)
+            s = _first_hit([near[assignment[eps] - 1, zi] for eps in verts], idx)
             if s is not None:
                 return z, tuple(int(v) for v in spiral[s])
         return None

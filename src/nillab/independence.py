@@ -29,7 +29,7 @@ import numpy as np
 from .arcs import ArcUnion, cut_midpoints
 from .budgets import DEFAULT_BUDGET, SearchBudget
 from .systems import SystemHandle, approx_rational, sturmian_coding
-from .targets import Ball, Cylinder  # re-exported: the target kinds
+from .targets import Ball, Cylinder, visits  # Ball, Cylinder: re-exported
 
 
 @dataclass(frozen=True)
@@ -94,8 +94,12 @@ def _targets_partition(arc_sets):
 
 
 def _route_context(sys: SystemHandle, sets: SetTuple):
-    """Precomputed route data for a (system, targets) pair: the first exact
+    """Precomputed route data for a (system, targets) pair: the empty route
+    if a target holds a symbol outside the alphabet, else the first exact
     route whose form every target has, else the sampled route."""
+    empty = empty_target(sys, sets.targets)
+    if empty is not None:
+        return {"route": "empty", "empty": empty}
     if sys.coding is not None:
         arcs = [t.arcs(sys.coding) for t in sets.targets]
         if all(a is not None for a in arcs):
@@ -106,24 +110,23 @@ def _route_context(sys: SystemHandle, sets: SetTuple):
     if sys.construct_point is not None:
         cons = [t.run() for t in sets.targets]
         if all(c is not None for c in cons):
-            return {"route": "constraints", "cons": cons,
-                    "empty": _empty_run(sys.construct_point, cons)}
+            return {"route": "constraints", "cons": cons}
     return {"route": "sampled"}
 
 
 def empty_target(sys: SystemHandle, targets):
-    """Index of the first target whose symbol run holds a symbol outside the
-    alphabet, so that no point lies in it; None if there is none or the
-    system builds no points from runs."""
+    """Index of the first target that holds a symbol outside the alphabet, so
+    that no point lies in it: a cylinder symbol that names no arc of a
+    rotation coding's partition, or a symbol of a run that a system building
+    points from runs refuses; None if there is none."""
+    if sys.coding is not None:
+        k = len(sys.coding.partition)
+        return next((i for i, t in enumerate(targets) if isinstance(t, Cylinder)
+                     and not all(0 <= s < k for s in t.word)), None)
     if sys.construct_point is None:
         return None
-    return _empty_run(sys.construct_point, [t.run() for t in targets])
-
-
-def _empty_run(construct_point, runs):
-    """Index of the first run, None skipped, with a symbol outside the alphabet."""
-    return next((i for i, run in enumerate(runs) if run is not None
-                 and not _in_alphabet(construct_point, run[1].tobytes())), None)
+    return next((i for i, t in enumerate(targets) if (run := t.run()) is not None
+                 and not _in_alphabet(sys.construct_point, run[1].tobytes())), None)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -148,18 +151,18 @@ def check_independence(sys: SystemHandle, sets: SetTuple, F,
 
     ctx = _route_context(sys, sets) if _ctx is None else _ctx
     route = ctx["route"]
+    if route == "empty":
+        i = ctx["empty"]
+        return IndependenceReport(
+            F=F, verified=False, method="exact-language", exact=True,
+            failures=[(i + 1,) * len(F)], patterns_checked=n_patterns,
+            realized_patterns=0,
+            note="target %d (%r) is empty: its run holds a symbol outside "
+                 "the alphabet" % (i + 1, sets.targets[i]))
     if route == "partition":
         return _check_exact_partition(sys, ctx["arcs"], F, n_patterns,
                                       boundaries=ctx["boundaries"])
     if route == "constraints":
-        if ctx["empty"] is not None:
-            i = ctx["empty"]
-            return IndependenceReport(
-                F=F, verified=False, method="exact-language", exact=True,
-                failures=[(i + 1,) * len(F)], patterns_checked=n_patterns,
-                realized_patterns=0,
-                note="target %d (%r) is empty: its run holds a symbol outside "
-                     "the alphabet" % (i + 1, sets.targets[i]))
         return _check_exact_constraints(sys, ctx["cons"], F, k)
     if n_patterns > budget.max_cells:
         raise ValueError("pattern count %d overflows the budget%s" % (
@@ -311,22 +314,15 @@ def _check_exact_constraints(sys, cons, F, k):
         note="conflicting constraints at times %d and %d" % (j1, j2))
 
 
-def _visits(sys, targets, Z, F):
-    """member[z, j_idx, i]: T^j Z[z] in targets[i] for j = F[j_idx], from one
-    depth call per target; depths are row-wise (see `dist_quotient_block`)."""
-    pts = sys.orbit_span(Z, 0, max(F))[np.asarray(F)]       # (|F|, len(Z), d)
-    return np.stack([np.swapaxes(t.depth(sys, pts) > 0, 0, 1) for t in targets], axis=-1)
-
-
 def _sampled_witness(sys, sets, F, budget):
     """Per-pattern witness of the sampled route: the first sampled point
-    whose orbit visits the pattern's targets, read from one `_visits` block."""
+    whose orbit visits the pattern's targets, read from one depth table."""
     rng = np.random.default_rng(budget.seed)
     Z = sys.sample_block(rng, budget.max_candidates)
-    member = _visits(sys, sets.targets, Z, F)
+    member = visits(sys, sets.targets, Z, F, member=True)     # (k, len(Z), |F|)
 
     def witness(pat):
-        rows = np.all(member[:, np.arange(len(F)), np.asarray(pat) - 1], axis=1)
+        rows = np.all(member[np.asarray(pat) - 1, :, np.arange(len(F))], axis=0)
         return Z[int(np.argmax(rows))] if rows.any() else None
 
     return witness

@@ -90,6 +90,8 @@ class Cylinder:
         return CylinderUnion(((self.word, self.anchor),)).depth(sys, P)
 
     def arcs(self, coding):
+        if not all(0 <= s < len(coding.partition) for s in self.word):
+            raise ValueError("%r holds a symbol outside the coding's alphabet" % (self,))
         arcs = ArcUnion.full()
         for i, sym in enumerate(self.word):
             base = coding.partition[int(sym)]
@@ -98,3 +100,31 @@ class Cylinder:
 
     def run(self):
         return (int(self.anchor), np.asarray(self.word, dtype=np.int8))
+
+
+# orbit rows per chunk of `visits`, which bounds its memory: a chunk's depth
+# calls peak near 32 MB on heisenberg3 and 45 MB on a full shift
+SCAN_ROWS = 1 << 14
+
+
+def visits(sys, targets, Z, times, *, member):
+    """Table D[i, z, j] of T^times[j] Z[z] in targets[i], for increasing
+    times: its depth, or with member=True whether it is a member (depth > 0)
+    at an eighth of the memory. Each (i, z) row is contiguous. One orbit_span
+    and one depth call per target for each chunk of about SCAN_ROWS orbit
+    rows; every metric_block is row-wise (see `dist_quotient_block`), so
+    chunking changes no value. A span's float rows depend on its start, so
+    spans start at min(times[0], 0): a row at t >= 0 is the forward orbit's."""
+    times = np.asarray(times, dtype=np.int64)
+    lo, hi = min(int(times[0]), 0), int(times[-1])
+    rows = times - lo
+    if (np.diff(rows) == 1).all():
+        rows = slice(int(rows[0]), int(rows[-1]) + 1)       # contiguous: a view
+    out = np.empty((len(targets), len(Z), len(times)), dtype=bool if member else float)
+    step = max(1, SCAN_ROWS // (hi - lo + 1))
+    for a in range(0, len(Z), step):
+        orbit = sys.orbit_span(Z[a:a + step], lo, hi)[rows]    # (times, chunk, d)
+        for i, target in enumerate(targets):
+            depth = target.depth(sys, orbit).T
+            out[i, a:a + step] = depth > 0 if member else depth
+    return out

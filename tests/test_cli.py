@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from nillab.cli import COMMANDS, UsageError, build_parser, main, parse_descriptor
+from nillab.cli import (COMMANDS, SYSTEMS, ConfigError, UsageError, build_parser,
+                        build_system, main, parse_descriptor)
 
 
 def run(argv):
@@ -19,6 +20,30 @@ def test_parse_descriptor():
     name, params = parse_descriptor("rotation:alpha=golden")
     assert name == "rotation" and params == {"alpha": "golden"}
     assert parse_descriptor("fullshift") == ("fullshift", {})
+
+
+@pytest.mark.parametrize("descriptor", [
+    "skew:alpah=0.3", "heisenberg:tau=0.1/0.2/0.3", "fullshift:K=3",
+    "sturmian:alpha=0.3,alpha=0.4", "rotation:alpha=0.1,alpha=0.1",
+    "furstenberg:alpha=0.3", "furstenberg:K=5,coeffs=table.csv",
+])
+def test_unknown_or_repeated_descriptor_key_is_a_config_error(tmp_path, descriptor, capsys):
+    with pytest.raises(ConfigError):
+        build_system(descriptor)
+    out = tmp_path / "o.csv"
+    assert run(["simulate", "--system", descriptor, "--steps", "3", "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err and not out.exists()
+
+
+def test_descriptor_keys_are_declared_once():
+    # a descriptor that spells out every key its constructor takes builds
+    for descriptor in ("rotation:alpha=0.3", "skew:alpha=0.3", "sturmian:alpha=0.3,L=4",
+                       "fullshift:k=3,L=4,reserve=10", "heisenberg:a=0.3,b=0.2,c=0.1",
+                       "nilsystem:group=heisenberg3,tau=0.3/0.2/0.1",
+                       "furstenberg:K=5,lam=0.5"):
+        name, params = parse_descriptor(descriptor)
+        assert set(params) <= set(SYSTEMS[name][0])
+        build_system(descriptor)
 
 
 def test_unknown_subcommand_usage_exit():
@@ -384,6 +409,11 @@ def test_entry_point_exit_codes(tmp_path):
     ["ind-check", "--system", "fullshift:k=3", "--targets", "cyl:0@0 cyl:13@1",
      "--F", "0,1", "--seed", "0", "--out-json"],
     ["simulate", "--system", "fullshift:k=2", "--start", "0157", "--steps", "3", "--out"],
+    # the same on rotation codings: no arc of the partition has the symbol
+    ["ind-check", "--system", "sturmian:alpha=golden", "--targets", "cyl:0@0 cyl:5@0",
+     "--F", "0,2", "--seed", "0", "--out-json"],
+    ["ip-search", "--system", "rotation:alpha=golden", "--targets", "cyl:0@0 cyl:1@0",
+     "--m", "1", "--bound", "3", "--seed", "0", "--out"],
 ])
 def test_fullshift_symbol_outside_the_alphabet_is_a_config_error(tmp_path, argv, capsys):
     out = tmp_path / "o.out"

@@ -1,16 +1,17 @@
 """Cubes, face moves and the witness searches."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from nillab import cubes
+from nillab import cubes, targets
 from nillab.budgets import SearchBudget
-from nillab.cubes import (POOL_CAP, Cube, FaceMove, RPWitness, _ball_visits,
-                          _candidate_pool, _first_hit, _live_candidates, _spiral_index,
-                          apply_face, cube_criterion, rp_test, sample_cube,
-                          validate_rp_witness, vertex_set)
+from nillab.cubes import (POOL_CAP, Cube, FaceMove, RPWitness, _candidate_pool,
+                          _first_hit, _live_candidates, _spiral_index, apply_face,
+                          cube_criterion, rp_test, sample_cube, validate_rp_witness,
+                          vertex_set)
 from nillab.furstenberg import furstenberg_point, make_furstenberg
 from nillab.nilgroup import heisenberg3
 from nillab.systems import (cell_count, cell_index, make_fullshift, make_nilsystem,
@@ -266,14 +267,12 @@ def test_fullshift_pool_holds_orbit_points_past_the_stored_range():
     assert any(np.array_equal(p, x) for p in pool)
 
 
-def one_point_ball_visits(sys, balls, zs, span):
-    """Reference scan rows: one orbit and one depth call per ball for each base point."""
-    near = {which: [] for which in balls}
-    for z in zs:
-        orbit = sys.orbit_span(z, -span, span)
-        for which, ball in balls.items():
-            near[which].append(ball.depth(sys, orbit) > 0)
-    return {which: np.array(rows) for which, rows in near.items()}
+def one_point_ball_visits(sys, balls, zs, times, member):
+    """Reference membership table of the contiguous times: one orbit per
+    base point and one depth call per ball on it."""
+    assert member
+    orbits = [sys.orbit_span(z, times[0], times[-1]) for z in zs]
+    return np.array([[ball.depth(sys, orbit) > 0 for orbit in orbits] for ball in balls])
 
 
 @pytest.mark.parametrize("case", ["skew-d1", "skew-d2", "rotation-d2", "heisenberg3-d1"])
@@ -292,22 +291,36 @@ def test_cube_scan_matches_one_call_per_point(monkeypatch, case, scan_rows):
     }[case]
     if scan_rows is not None:
         # chunks of a few base points, so that chunk boundaries fall inside the pool
-        monkeypatch.setattr(cubes, "SCAN_ROWS", scan_rows)
+        monkeypatch.setattr(targets, "SCAN_ROWS", scan_rows)
     x1, x2 = np.array(x1), np.array(x2)
     got = cube_criterion(sys, x1, x2, d, delta, budget)
     scans = []
 
-    def oracle(sys_, balls, zs, span):
-        want = one_point_ball_visits(sys_, balls, zs, span)
-        near = _ball_visits(sys_, balls, zs, span)
-        assert all(np.array_equal(near[w], want[w]) for w in balls)
+    def oracle(sys_, balls, zs, times, member):
+        want = one_point_ball_visits(sys_, balls, zs, times, member)
+        assert np.array_equal(targets.visits(sys_, balls, zs, times, member=member), want)
         scans.append(len(zs))
         return want
 
-    monkeypatch.setattr(cubes, "_ball_visits", oracle)
+    monkeypatch.setattr(cubes, "visits", oracle)
     want = cube_criterion(sys, x1, x2, d, delta, budget)
     assert scans == [budget.max_candidates] and got == want
     assert len(got["failures"]) == n_failures
+
+
+def test_cube_scan_holds_a_membership_table():
+    # 1,000 base points over times -1000..1000: two balls' depths would take
+    # 32 MB, their membership 4 MB
+    skew = make_skew_product(GOLDEN)
+    tracemalloc.start()
+    try:
+        rep = cube_criterion(skew, np.array([0.2, 0.1]), np.array([0.2, 0.7]), 1, 0.05,
+                             SearchBudget(n_range=1000, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["all_realized"] and not rep["budget"]["constructive"]
+    assert peak <= 12 * 2 ** 20
 
 
 # -- rp_test's pruned pair scan against the loop it replaced --------------------
@@ -404,6 +417,36 @@ def test_rp_test_pruning_matches_unpruned_scan(case):
     assert pruning_cells(sys, x, y, delta, budget) == K
     res = assert_rp_matches_unpruned(sys, x, y, d, delta, budget)
     assert isinstance(res, RPWitness) == found
+
+
+@pytest.mark.parametrize("case", ["skew", "rotation-near", "furstenberg"])
+def test_rp_test_validates_only_the_witness_it_returns(monkeypatch, case):
+    sys, x, y, budget = {
+        # the winning row holds 30 hits at n_range 5000
+        "skew": (make_skew_product(GOLDEN), [0.2, 0.1], [0.2, 0.7],
+                 SearchBudget(max_candidates=1000, n_range=5000, seed=0)),
+        "rotation-near": (make_rotation([GOLDEN]), [0.1], [0.22],
+                          SearchBudget(max_candidates=300, n_range=400, seed=0)),
+        "furstenberg": furstenberg_pair() + (SearchBudget(max_candidates=100, n_range=30,
+                                                          seed=0),),
+    }[case]
+    x, y = np.asarray(x), np.asarray(y)
+    want = unpruned_rp_test(sys, x, y, 1, 0.05, budget)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return validate_rp_witness(*args, **kwargs)
+
+    monkeypatch.setattr(cubes, "validate_rp_witness", counted)
+    got = rp_test(sys, x, y, 1, 0.05, budget)
+    assert isinstance(got, RPWitness) and repr(got) == repr(want)
+    assert len(calls) == 1
+    # the one validation still raises on a witness that fails its bound
+    monkeypatch.setattr(cubes, "_cube_gap", lambda *args: 1.0)
+    with pytest.raises(RuntimeError, match="re-validation"):
+        rp_test(sys, x, y, 1, 0.05, budget)
+    assert len(calls) == 2
 
 
 def test_rp_test_with_an_empty_pool_is_exhausted():

@@ -1,13 +1,14 @@
 """IP-sets, exact independence verdicts, generator scans, Sturmian language."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from nillab import independence
+from nillab import independence, targets
 from nillab.budgets import SearchBudget
-from nillab.independence import (Ball, Cylinder, SetTuple, _route_context, _visits,
+from nillab.independence import (Ball, Cylinder, SetTuple, _route_context,
                                  check_independence, find_ip_independence, fs_set,
                                  independence_ladder, sturmian_language)
 from nillab.nilgroup import heisenberg3
@@ -106,14 +107,15 @@ def test_sampled_route_on_skew():
         assert "budget" in rep.note
 
 
-def one_point_visits(sys, targets, Z, F):
+def one_point_visits(sys, targets, Z, F, member):
     """Reference membership: one depth call per sampled point per target."""
+    assert member
     pts = sys.orbit_span(Z, 0, max(F))[np.asarray(F)]
-    member = np.zeros((len(Z), len(F), len(targets)), dtype=bool)
+    inside = np.zeros((len(targets), len(Z), len(F)), dtype=bool)
     for zi in range(len(Z)):
         for i, t in enumerate(targets):
-            member[zi, :, i] = t.depth(sys, pts[:, zi]) > 0
-    return member
+            inside[i, zi] = t.depth(sys, pts[:, zi]) > 0
+    return inside
 
 
 def _report_fields(rep):
@@ -141,13 +143,29 @@ def test_sampled_route_matches_one_call_per_point(monkeypatch, case):
     }[case]
     assert _route_context(sys, sets)["route"] == "sampled"
     Z = sys.sample_block(np.random.default_rng(budget.seed), budget.max_candidates)
-    member = _visits(sys, sets.targets, Z, F)
-    assert np.array_equal(member, one_point_visits(sys, sets.targets, Z, F))
+    inside = targets.visits(sys, sets.targets, Z, F, member=True)
+    assert np.array_equal(inside, one_point_visits(sys, sets.targets, Z, F, True))
     got = check_independence(sys, sets, F, budget)
-    monkeypatch.setattr(independence, "_visits", one_point_visits)
+    monkeypatch.setattr(independence, "visits", one_point_visits)
     want = check_independence(sys, sets, F, budget)
     assert _report_fields(got) == _report_fields(want)
     assert got.patterns_checked == 2 ** len(F) and got.realized_patterns == realized
+
+
+def test_sampled_route_memory_is_chunked():
+    # 1,000 full-shift orbits over times 0..200 hold 55 MB of symbols at
+    # once; the depth table reads them a chunk of points at a time
+    fsh = make_fullshift(2, L=8)
+    sets = SetTuple((CylinderUnion((((0,), 0),)), CylinderUnion((((1,), 0),))))
+    tracemalloc.start()
+    try:
+        rep = check_independence(fsh, sets, (0, 50, 100, 150, 200),
+                                 SearchBudget(max_candidates=1000, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.method == "sampled" and rep.patterns_checked == 32
+    assert peak <= 10 * 2 ** 20
 
 
 def test_find_ip_sturmian_ladder_values():
@@ -401,6 +419,36 @@ def test_fullshift_target_outside_the_alphabet_is_empty(targets, empty):
         assert "target %d (%r) is empty" % (empty, targets[empty - 1]) in rep.note
     ip, rep = find_ip_independence(fsh, SetTuple(targets), 1, 3)
     assert ip is None and rep["status"] == "exhausted"
+
+
+@pytest.mark.parametrize("system,targets,empty", [
+    ("sturmian", (Cylinder((0,), 0), Cylinder((5,), 0)), 2),
+    # symbol -1 once read the last arc, and the pair passed as a partition
+    ("sturmian", (Cylinder((0,), 0), Cylinder((-1,), 0)), 2),
+    ("sturmian", (Cylinder((0, 2), -1), Ball((0.3,), 0.2)), 1),
+    # a plain rotation's coding has the one symbol 0
+    ("rotation", (Cylinder((0,), 0), Cylinder((1,), 0)), 2),
+])
+def test_coded_target_outside_the_alphabet_is_empty(monkeypatch, system, targets, empty):
+    sys = make_sturmian(GOLDEN) if system == "sturmian" else make_rotation([GOLDEN])
+    for F in ((0, 2), (0,), (0, 1, 5)):
+        rep = check_independence(sys, SetTuple(targets), F)
+        assert not rep.verified and rep.exact and not rep.witnesses
+        assert rep.failures == [(empty,) * len(F)] and rep.realized_patterns == 0
+        assert "target %d (%r) is empty" % (empty, targets[empty - 1]) in rep.note
+    with pytest.raises(ValueError, match="alphabet"):
+        targets[empty - 1].arcs(sys.coding)
+    # one check per route context, however many tuples the scan checks
+    calls, check = [], independence.empty_target
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(independence, "empty_target", counted)
+    ip, rep = find_ip_independence(sys, SetTuple(targets), 2, 4)
+    assert ip is None and rep["status"] == "exhausted" and rep["scanned"] == 10
+    assert len(calls) == 1
 
 
 def test_fullshift_alphabet_bounds_construct_point():

@@ -3,11 +3,18 @@
 import numpy as np
 import pytest
 
+from nillab import complexity, cubes, independence, targets
 from nillab.budgets import SearchBudget
+from nillab.complexity import Cover, _join_coverage
+from nillab.cubes import cube_criterion
+from nillab.furstenberg import furstenberg_point, make_furstenberg
+from nillab.independence import SetTuple, check_independence
+from nillab.nilgroup import heisenberg3
 from nillab.systems import (SymbolicWindow, _window_distance, make_fullshift,
-                            make_rotation, make_sturmian, open_symbol_resolution,
-                            sample_points, sturmian_code)
-from nillab.targets import Ball, Cylinder, CylinderUnion
+                            make_nilsystem, make_rotation, make_skew_product,
+                            make_sturmian, open_symbol_resolution, sample_points,
+                            sturmian_code)
+from nillab.targets import Ball, Cylinder, CylinderUnion, visits
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -154,3 +161,85 @@ def test_ball_forms_are_open_at_dyadic_radii():
         ball = Ball((0.3,), radius)
         arcs = ball.arcs(stu.coding)
         assert np.array_equal(arcs.contains(z), ball.depth(stu, z[:, None]) > 0)
+
+
+# -- the depth table of every orbit-versus-target search ---------------------------
+
+
+def visit_fixture(name):
+    """(system, targets, points, cube pair, cube delta, budget)."""
+    if name == "heisenberg3":
+        sys = make_nilsystem(heisenberg3(), [GOLDEN, np.sqrt(2.0) / 2.0, 0.0])
+        return (sys, [Ball((0.25,) * 3, 0.4), Ball((0.75,) * 3, 0.4)],
+                sample_points(sys, 30, seed=1), ([0.2, 0.3, 0.4], [0.6, 0.1, 0.8]), 0.2,
+                SearchBudget(max_candidates=40, n_range=10, seed=0))
+    if name == "furstenberg":
+        sys = make_furstenberg(GOLDEN, [(1, 1), (2, 2)])
+        x1, x2 = furstenberg_point(sys, 0.1, 0.2), furstenberg_point(sys, 0.1, 0.6)
+        return (sys, [Ball(tuple(x1), 0.4), Ball(tuple(x2), 0.4)],
+                sample_points(sys, 30, seed=1), (x1, x2), 0.05,
+                SearchBudget(max_candidates=60, n_range=30, seed=0))
+    if name == "fullshift":
+        sys = make_fullshift(2, L=4)
+        x1, x2 = sample_points(sys, 2, seed=3)
+        return (sys, [CylinderUnion((((0, 1), 0), ((0, 0), 0))), Cylinder((1, 1), -1)],
+                sample_points(sys, 30, seed=1), (x1, x2), 0.05,
+                SearchBudget(max_candidates=64, n_range=20, seed=1))
+    sys = make_skew_product(GOLDEN)
+    return (sys, [Ball((0.25, 0.25), 0.3), Ball((0.75, 0.75), 0.3)],
+            sample_points(sys, 30, seed=1), ([0.2, 0.7], [0.6, 0.1]), 0.05,
+            SearchBudget(max_candidates=100, n_range=40, seed=0))
+
+
+def one_point_visits(sys, targets, Z, times, member):
+    """Reference table: one orbit per point, from min(times[0], 0), and one
+    depth call per target on it."""
+    times = np.asarray(times)
+    lo = min(int(times[0]), 0)
+    out = np.empty((len(targets), len(Z), len(times)))
+    for zi, z in enumerate(Z):
+        orbit = sys.orbit_span(z, lo, int(times[-1]))[times - lo]
+        for i, target in enumerate(targets):
+            out[i, zi] = target.depth(sys, orbit)
+    return out > 0 if member else out
+
+
+FIXTURES = ["heisenberg3", "furstenberg", "fullshift", "skew"]
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_visits_matches_one_point_oracle_at_every_chunk_size(monkeypatch, name):
+    sys, tgts, Z, _, _, _ = visit_fixture(name)
+    members = 0
+    for times in ([0, 1, 3], range(-4, 5), [2, 3, 4], [2, 5], [-3]):
+        want = one_point_visits(sys, tgts, Z, times, False)
+        members += int(np.sum(want > 0))
+        for rows in (1, 7, 40, 1 << 14):
+            monkeypatch.setattr(targets, "SCAN_ROWS", rows)
+            got = visits(sys, tgts, Z, times, member=False)
+            inside = visits(sys, tgts, Z, times, member=True)
+            assert got.flags.c_contiguous and np.array_equal(got, want)
+            assert inside.dtype == bool and np.array_equal(inside, want > 0)
+    assert members > 0
+
+
+def search_outputs(sys, tgts, Z, pair, delta, budget):
+    """The three searches that read a depth table: the cube scan, the
+    sampled independence route and the cover's join cells."""
+    cube = cube_criterion(sys, np.asarray(pair[0]), np.asarray(pair[1]), 1, delta, budget)
+    rep = check_independence(sys, SetTuple(tuple(tgts)), (0, 1, 3), budget)
+    coverage = _join_coverage(sys, Cover(list(tgts)), Z, 3, budget)
+    return (repr(cube), rep.verified, rep.failures, repr(rep.witnesses),
+            coverage.tolist())
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_searches_agree_at_every_chunk_size(monkeypatch, name):
+    sys, tgts, Z, pair, delta, budget = visit_fixture(name)
+    want = search_outputs(sys, tgts, Z, pair, delta, budget)
+    for rows in (1, 50, 1 << 14):
+        monkeypatch.setattr(targets, "SCAN_ROWS", rows)
+        assert search_outputs(sys, tgts, Z, pair, delta, budget) == want
+    for module in (complexity, cubes, independence):
+        monkeypatch.setattr(module, "visits", one_point_visits)
+    assert search_outputs(sys, tgts, Z, pair, delta, budget) == want
