@@ -250,7 +250,7 @@ def cmd_simulate(args, sys_, x):
 
 
 def _default_n_grid(n_max):
-    grid = sorted({int(round(n_max ** (i / 10.0))) for i in range(11)} | {1, n_max})
+    grid = sorted({int(round(max(n_max, 1) ** (i / 10.0))) for i in range(11)} | {1, n_max})
     return [n for n in grid if 1 <= n <= n_max]
 
 

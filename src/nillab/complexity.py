@@ -87,7 +87,7 @@ def system_grid(sys: SystemHandle, n, eps, budget: SearchBudget):
 
 def _grid(sys, n, eps, budget):
     if sys.grid is None:
-        raise GridError("system offers no grid for covering estimates")
+        raise ValueError("system offers no grid for covering estimates")
     return sys.grid(n, eps, budget)
 
 
@@ -197,8 +197,11 @@ def _crosscheck_exact_grid(sys, grid, n, epsilon, seed):
 def complexity_curve(sys: SystemHandle, epsilon, n_values,
                      budget: SearchBudget = DEFAULT_BUDGET,
                      classify=True) -> ComplexityCurve:
-    """r(n, epsilon) estimates over an n-grid, on one shared grid per horizon."""
+    """r(n, epsilon) estimates over an n-grid, on one shared grid per horizon;
+    with `classify`, a growth fit if the records admit one (`_unfit`)."""
     n_values = sorted(set(int(n) for n in n_values))
+    if not n_values or n_values[0] < 0:
+        raise ValueError("the n-grid needs at least one horizon, and every n >= 0")
     curve = ComplexityCurve(epsilon=epsilon)
     top = max(n_values)
     grid, exact = _grid(sys, top, epsilon, budget)
@@ -214,9 +217,20 @@ def complexity_curve(sys: SystemHandle, epsilon, n_values,
                               "net_size": net["r_estimate"],
                               "grid": net["grid_size"]})
     curve.check_monotone()
-    if classify and len(curve.records) >= 8:
+    if classify and _unfit(curve.ns()) is None:
         curve.fit = classify_growth(curve)
     return curve
+
+
+def _unfit(ns):
+    """Why records at horizons ns admit no growth fit, or None if they do."""
+    if len(ns) < 8:
+        return "need at least 8 records to classify growth"
+    if ns.min() < 1:
+        return "a log-scale fit needs every n >= 1"
+    if ns.max() < 10 * ns.min():
+        return "records must span at least a decade in n"
+    return None
 
 
 def classify_growth(curve: ComplexityCurve) -> dict:
@@ -227,10 +241,9 @@ def classify_growth(curve: ComplexityCurve) -> dict:
     curves do not flap between classes.
     """
     ns, rs = curve.ns(), curve.rs()
-    if len(ns) < 8:
-        raise ValueError("need at least 8 records to classify growth")
-    if ns.max() < 10 * ns.min():
-        raise ValueError("records must span at least a decade in n")
+    reason = _unfit(ns)
+    if reason is not None:
+        raise ValueError(reason)
     curve.check_monotone()
     logr = np.log(rs.astype(float))
     logn = np.log(ns.astype(float))

@@ -28,6 +28,7 @@ import numpy as np
 
 from .arcs import ArcUnion, cut_midpoints
 from .budgets import DEFAULT_BUDGET, SearchBudget
+from .nilmetric import BudgetError
 from .systems import SystemHandle, approx_rational, sturmian_coding
 from .targets import Ball, Cylinder, visits  # Ball, Cylinder: re-exported
 
@@ -85,33 +86,46 @@ class IndependenceReport:
 # -- the checker ---------------------------------------------------------------
 
 
-def _targets_partition(arc_sets):
-    """Whether the arc sets tile the circle, up to 1e-9 in measure."""
-    if abs(sum(a.measure() for a in arc_sets) - 1.0) > 1e-9:
-        return False
-    return all(a.intersect(b).measure() <= 1e-9
-               for a, b in itertools.combinations(arc_sets, 2))
-
-
-def _route_context(sys: SystemHandle, sets: SetTuple):
-    """Precomputed route data for a (system, targets) pair: the empty route
-    if a target holds a symbol outside the alphabet, else the first exact
-    route whose form every target has, else the sampled route."""
+def _route_context(sys: SystemHandle, sets: SetTuple, budget: SearchBudget = DEFAULT_BUDGET):
+    """The route of a (system, targets) pair, decided once: {"route": name,
+    "check": sorted distinct times F -> IndependenceReport, "cells": the
+    coding cuts of a partition, 0 for an empty target, else None}. It is
+    "empty" if a target holds a symbol outside the alphabet, else the first
+    exact route whose form every target has, else "sampled"."""
+    k = sets.k
     empty = empty_target(sys, sets.targets)
     if empty is not None:
-        return {"route": "empty", "empty": empty}
+        def check(F):
+            return IndependenceReport(
+                F=F, verified=False, method="exact-language", exact=True,
+                failures=[(empty + 1,) * len(F)], patterns_checked=k ** len(F),
+                realized_patterns=0, note="target %d (%r) is empty: its run holds a symbol "
+                "outside the alphabet" % (empty + 1, sets.targets[empty]))
+
+        return {"route": "empty", "check": check, "cells": 0}
     if sys.coding is not None:
         arcs = [t.arcs(sys.coding) for t in sets.targets]
         if all(a is not None for a in arcs):
-            if _targets_partition(arcs):
-                boundaries = sorted({b for a in arcs for b in a.boundaries()})
-                return {"route": "partition", "arcs": arcs, "boundaries": boundaries}
-            return {"route": "arcs", "arcs": arcs}
+            alpha = sys.coding.alpha
+            # the arcs tile the circle, up to 1e-9 in measure
+            if abs(sum(a.measure() for a in arcs) - 1.0) <= 1e-9 and all(
+                    a.intersect(b).measure() <= 1e-9
+                    for a, b in itertools.combinations(arcs, 2)):
+                cuts = sorted({b for a in arcs for b in a.boundaries()})
+                return {"route": "partition", "cells": len(cuts),
+                        "check": functools.partial(_check_exact_partition, alpha, arcs, cuts)}
+            return {"route": "arcs", "cells": None, "check": functools.partial(
+                _pattern_report, k, budget, functools.partial(_arc_witness, alpha, arcs),
+                True, "arc-intersection emptiness is exact")}
     if sys.construct_point is not None:
         cons = [t.run() for t in sets.targets]
         if all(c is not None for c in cons):
-            return {"route": "constraints", "cons": cons}
-    return {"route": "sampled"}
+            return {"route": "constraints", "cells": None,
+                    "check": functools.partial(_check_exact_constraints, sys, cons, k)}
+    Z = sys.sample_block(np.random.default_rng(budget.seed), budget.max_candidates)
+    return {"route": "sampled", "cells": None, "check": functools.partial(
+        _pattern_report, k, budget, functools.partial(_sampled_witness, sys, sets.targets, Z),
+        False, "unrealized patterns are budget-exhausted, not refuted")}
 
 
 def empty_target(sys: SystemHandle, targets):
@@ -140,49 +154,27 @@ def _in_alphabet(construct_point, symbols):
 
 
 def check_independence(sys: SystemHandle, sets: SetTuple, F,
-                       budget: SearchBudget = DEFAULT_BUDGET,
-                       _ctx=None) -> IndependenceReport:
+                       budget: SearchBudget = DEFAULT_BUDGET) -> IndependenceReport:
     """Decide (exactly where possible) whether F is an independence set for the tuple."""
     F = tuple(sorted(set(int(j) for j in F)))
     if not F:
         raise ValueError("F must be nonempty")
-    k = sets.k
+    return _route_context(sys, sets, budget)["check"](F)
+
+
+def _pattern_report(k, budget, witness_on, exact, note, F):
+    """Report of a search over all k^|F| patterns (BudgetError past
+    `budget.max_cells`), one at a time: `witness_on(F)(pattern)` is a point
+    realizing the pattern, or None. The first 512 witnesses are kept; an
+    exact route's note states its certificate, a sampled route's note only
+    qualifies its failures."""
     n_patterns = k ** len(F)
-
-    ctx = _route_context(sys, sets) if _ctx is None else _ctx
-    route = ctx["route"]
-    if route == "empty":
-        i = ctx["empty"]
-        return IndependenceReport(
-            F=F, verified=False, method="exact-language", exact=True,
-            failures=[(i + 1,) * len(F)], patterns_checked=n_patterns,
-            realized_patterns=0,
-            note="target %d (%r) is empty: its run holds a symbol outside "
-                 "the alphabet" % (i + 1, sets.targets[i]))
-    if route == "partition":
-        return _check_exact_partition(sys, ctx["arcs"], F, n_patterns,
-                                      boundaries=ctx["boundaries"])
-    if route == "constraints":
-        return _check_exact_constraints(sys, ctx["cons"], F, k)
     if n_patterns > budget.max_cells:
-        raise ValueError("pattern count %d overflows the budget%s" % (
-            n_patterns, " for the non-partition arc route" if route == "arcs" else ""))
-    if route == "arcs":
-        return _pattern_report(F, k, _arc_witness(sys, ctx["arcs"], F, k), exact=True,
-                               note="arc-intersection emptiness is exact")
-    return _pattern_report(F, k, _sampled_witness(sys, sets, F, budget), exact=False,
-                           note="unrealized patterns are budget-exhausted, not refuted")
-
-
-def _pattern_report(F, k, witness, exact, note):
-    """Report of a search over all k^|F| patterns, one at a time:
-    `witness(pattern)` returns a point realizing the pattern, or None. The
-    first 512 witnesses are kept; an exact route's note states its
-    certificate, a sampled route's note only qualifies its failures."""
+        raise BudgetError("pattern count %d overflows the budget%s" % (
+            n_patterns, " for the non-partition arc route" if exact else ""))
+    witness = witness_on(F)
     witnesses, failures = {}, []
-    count = 0
     for pat in itertools.product(range(1, k + 1), repeat=len(F)):
-        count += 1
         z = witness(pat)
         if z is None:
             failures.append(pat)
@@ -190,19 +182,19 @@ def _pattern_report(F, k, witness, exact, note):
             witnesses[pat] = z
     return IndependenceReport(
         F=F, verified=not failures, method="exact-language" if exact else "sampled",
-        exact=exact, witnesses=witnesses, patterns_checked=count,
-        realized_patterns=count - len(failures), failures=failures,
+        exact=exact, witnesses=witnesses, patterns_checked=n_patterns,
+        realized_patterns=n_patterns - len(failures), failures=failures,
         note=note if exact or failures else "")
 
 
-def _refuted_by_counting(n_patterns, n_times, boundaries):
-    """Whether a partition coding cannot realize all patterns on n_times
-    times: its cuts split the circle into at most |boundaries| * n_times
-    cells, each coding one pattern."""
-    return n_patterns > len(boundaries) * n_times
+def _refuted_by_counting(n_patterns, n_times, cells):
+    """Whether a coding cannot realize all patterns on n_times times: the
+    shifts of its `cells` cuts split the circle into at most cells * n_times
+    arcs, each coding one pattern (none at all for an empty target)."""
+    return n_patterns > cells * n_times
 
 
-def _check_exact_partition(sys, arcs, F, n_patterns, boundaries):
+def _check_exact_partition(alpha, arcs, cuts, F):
     """Realized patterns of a partition coding, via boundary cuts.
 
     Every point of an arc between consecutive cut points produces the same
@@ -212,18 +204,17 @@ def _check_exact_partition(sys, arcs, F, n_patterns, boundaries):
     so that smaller sets keep an exact realized count; `find_ip_independence`
     applies the same bound to every tuple before building its time set.
     """
-    alpha = sys.coding.alpha
-    if _refuted_by_counting(n_patterns, len(F), boundaries) and n_patterns > 4096:
+    n_patterns = len(arcs) ** len(F)
+    if _refuted_by_counting(n_patterns, len(F), len(cuts)) and n_patterns > 4096:
         # refuted by counting alone; skip enumerating the realized set
         return IndependenceReport(
             F=F, verified=False, method="exact-language", exact=True,
             patterns_checked=n_patterns, realized_patterns=-1,
             failures=["%d patterns exceed the %d coding cells on F"
-                      % (n_patterns, len(boundaries) * len(F))],
+                      % (n_patterns, len(cuts) * len(F))],
             note="counting bound: realizable patterns <= number of coding "
                  "cells (-1: realized set not enumerated)")
-    cuts = [b - j * alpha for j in F for b in boundaries]
-    mids = cut_midpoints(np.asarray(cuts) % 1.0)
+    mids = cut_midpoints(np.asarray([c - j * alpha for j in F for c in cuts]) % 1.0)
     pos = (mids[:, None] + np.asarray(F, dtype=float)[None, :] * alpha) % 1.0
     sym = np.zeros(pos.shape, dtype=np.int8)        # 0: in no target
     for s, a in enumerate(arcs):
@@ -243,11 +234,10 @@ def _check_exact_partition(sys, arcs, F, n_patterns, boundaries):
         note="partition coding: realized-pattern enumeration is exact")
 
 
-def _arc_witness(sys, arcs, F, k):
+def _arc_witness(alpha, arcs, F):
     """Per-pattern witness of the arc route: the midpoint of the first arc of
     the pattern's intersection, whose emptiness is exact."""
-    alpha = sys.coding.alpha
-    shifted = {(j, i): arcs[i].shift(-j * alpha) for j in F for i in range(k)}
+    shifted = {(j, i): a.shift(-j * alpha) for j in F for i, a in enumerate(arcs)}
 
     def witness(pat):
         inter = ArcUnion.full()
@@ -261,7 +251,7 @@ def _arc_witness(sys, arcs, F, k):
     return witness
 
 
-def _check_exact_constraints(sys, cons, F, k):
+def _check_exact_constraints(sys, cons, k, F):
     """Full-shift route: joint satisfiability is pairwise non-conflict.
 
     Symbol constraints conflict only position-by-position, so a pattern is
@@ -314,12 +304,10 @@ def _check_exact_constraints(sys, cons, F, k):
         note="conflicting constraints at times %d and %d" % (j1, j2))
 
 
-def _sampled_witness(sys, sets, F, budget):
-    """Per-pattern witness of the sampled route: the first sampled point
+def _sampled_witness(sys, targets, Z, F):
+    """Per-pattern witness of the sampled route: the first sampled point of Z
     whose orbit visits the pattern's targets, read from one depth table."""
-    rng = np.random.default_rng(budget.seed)
-    Z = sys.sample_block(rng, budget.max_candidates)
-    member = visits(sys, sets.targets, Z, F, member=True)     # (k, len(Z), |F|)
+    member = visits(sys, targets, Z, F, member=True)     # (k, len(Z), |F|)
 
     def witness(pat):
         rows = np.all(member[np.asarray(pat) - 1, :, np.arange(len(F))], axis=0)
@@ -344,25 +332,24 @@ def find_ip_independence(sys: SystemHandle, sets: SetTuple, m, gen_bound,
     """
     if m < 1 or gen_bound < 1:
         raise ValueError("m and gen_bound must be >= 1")
-    scanned = 0
-    patterns_checked = 0
-    ctx = _route_context(sys, sets)
-    partition = ctx["route"] == "partition"
+    scanned = patterns_checked = 0
+    route = _route_context(sys, sets, budget)
+    check, cells = route["check"], route["cells"]
     k = sets.k
     for gens in itertools.combinations_with_replacement(range(1, gen_bound + 1), m):
         scanned += 1
-        if partition:
+        if cells is not None:
             # |{0} u FS(gens)|: bit s of reach is set iff s is a subset sum
             reach = 1
             for g in gens:
                 reach |= reach << g
             n_times = reach.bit_count()
             n_patterns = k ** n_times
-            if _refuted_by_counting(n_patterns, n_times, ctx["boundaries"]):
+            if _refuted_by_counting(n_patterns, n_times, cells):
                 patterns_checked += n_patterns
                 continue
         ip = fs_set(gens)
-        rep = check_independence(sys, sets, (0,) + ip.elements, budget, _ctx=ctx)
+        rep = check((0,) + ip.elements)
         patterns_checked += rep.patterns_checked
         if rep.verified:
             return ip, {"status": "witness", "generators": list(gens),

@@ -166,8 +166,10 @@ class SystemHandle:
         """Points T^lo x .. T^hi x (inclusive range) of a point or a block.
 
         A point of shape (d,) gives shape (hi-lo+1, d); a block of shape
-        (..., d) gives (hi-lo+1, ..., d), one orbit per point.
+        (..., d) gives (hi-lo+1, ..., d), one orbit per point (none at hi = lo - 1).
         """
+        if hi < lo - 1:
+            raise ValueError("orbit span %d..%d has negative length" % (lo, hi))
         return self.orbit(np.asarray(x), lo, hi)
 
     def orbit_block(self, x, count):
@@ -365,7 +367,8 @@ def make_sturmian(alpha, L=16) -> SystemHandle:
         cuts = (-np.arange(lo, hi + 2) * alpha) % 1.0
         mids = cut_midpoints(cuts)
         if mids.size > budget.max_cells:
-            raise ValueError("sturmian cylinder grid exceeds max_points")
+            raise GridError("sturmian cylinder grid has %d points (> budget %d)"
+                            % (mids.size, budget.max_cells))
         return mids[:, None], True
 
     return SystemHandle(
@@ -467,8 +470,8 @@ def make_fullshift(k, L=8, reserve=128) -> SystemHandle:
         w = symbol_resolution(eps)
         span = n + 2 * w - 1
         if k ** span > budget.max_cells:
-            raise ValueError("full-shift cylinder grid needs %d^%d windows (> %d)"
-                             % (k, span, budget.max_cells))
+            raise GridError("full-shift cylinder grid needs %d^%d windows (> budget %d)"
+                            % (k, span, budget.max_cells))
         if w - 1 > half or n + w - 1 > half:
             raise ValueError("horizon exceeds the stored window range")
         rows = np.zeros((k ** span, width), dtype=np.int8)
@@ -533,7 +536,7 @@ def make_inverse_limit(levels, factor_maps) -> SystemHandle:
     def grid(n, eps, budget):
         # threads are parameterized by the top level: grid it and push down
         if levels[-1].grid is None:
-            raise GridError("top level offers no grid to thread")
+            raise ValueError("top level offers no grid to thread")
         top_grid, _ = levels[-1].grid(n, eps, budget)
         return _thread_from_top(top_grid), False
 

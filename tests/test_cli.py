@@ -77,6 +77,57 @@ def test_budget_exhaustion_exit(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["complexity", "--system", "sturmian:alpha=golden", "--eps", "0.1", "--n-max", "20",
+     "--max-cells", "10"],
+    ["complexity", "--system", "fullshift:k=2", "--eps", "0.25", "--n-max", "20"],
+    ["ind-check", "--system", "skew:alpha=golden", "--targets",
+     "ball:0.2/0.1@0.05 ball:0.2/0.7@0.05", "--F", "0,1,2,3,4,5", "--max-cells", "10",
+     "--seed", "0"],
+], ids=["sturmian-grid", "fullshift-grid", "pattern-count"])
+def test_a_cap_past_max_cells_is_a_budget_exit(tmp_path, argv, capsys):
+    out = tmp_path / "o.json"
+    assert run(argv + ["--out-json", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("budget exceeded: ") and "max_points" not in err
+    assert not out.exists()
+
+
+def test_a_system_without_a_grid_is_a_precondition_exit(tmp_path, capsys):
+    assert run(["complexity", "--system", "furstenberg:K=5", "--eps", "0.1", "--n-max",
+                "10", "--out", str(tmp_path / "c.csv")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: system offers no grid for covering estimates\n")
+
+
+def test_complexity_writes_a_curve_that_admits_no_fit(tmp_path, capsys):
+    csv, js = tmp_path / "curve.csv", tmp_path / "fit.json"
+    assert run(["complexity", "--system", "rotation:alpha=golden", "--eps", "0.1",
+                "--n-grid", "10,11,12,13,14,15,16,17",
+                "--out", str(csv), "--out-json", str(js)]) == 0
+    report = json.loads(js.read_text())["report"]
+    assert report["fit"] is None
+    assert [rec["n"] for rec in report["records"]] == list(range(10, 18))
+    assert len([l for l in csv.read_text().splitlines() if not l.startswith("#")]) == 9
+    assert "growth class" not in capsys.readouterr().out
+    for horizons in ("--n-max=0", "--n-max=-5", "--n-grid=-1,5"):
+        assert run(["complexity", "--system", "rotation:alpha=golden", "--eps", "0.1",
+                    horizons, "--out", str(tmp_path / "e.csv")]) == 2
+        assert "the n-grid needs at least one horizon" in capsys.readouterr().err
+        assert not (tmp_path / "e.csv").exists()
+
+
+@pytest.mark.parametrize("system", ["rotation:alpha=golden", "heisenberg"])
+def test_simulate_negative_steps_is_a_precondition_exit(tmp_path, system, capsys):
+    out = tmp_path / "o.csv"
+    assert run(["simulate", "--system", system, "--steps", "-3", "--out", str(out)]) == 2
+    assert "config error: orbit span 0..-4 has negative length" in capsys.readouterr().err
+    assert not out.exists()
+    # zero steps is the empty orbit: a header-only file
+    assert run(["simulate", "--system", system, "--steps", "0", "--out", str(out)]) == 0
+    assert [l for l in out.read_text().splitlines() if not l.startswith("#")][1:] == []
+
+
 def test_simulate_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):

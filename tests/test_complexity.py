@@ -1,5 +1,7 @@
 """Shadowing nets, growth classification, cover complexity, tower bound."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,31 @@ def test_grid_refusals():
         shadowing_net(rot, 0, 0.1, SearchBudget(grid_divisor=2.0))
     with pytest.raises(GridError):
         shadowing_net(rot, 0, 0.001, SearchBudget(max_cells=100))
+
+
+def test_a_missing_grid_is_a_precondition_not_a_budget():
+    rot = make_rotation([GOLDEN])
+    gridless = dataclasses.replace(rot, grid=None)
+    tower = make_inverse_limit([rot, gridless], [lambda P: P])
+    for sys, message in ((gridless, "system offers no grid"),
+                         (tower, "top level offers no grid")):
+        with pytest.raises(ValueError, match=message) as exc:
+            shadowing_net(sys, 2, 0.1)
+        assert not isinstance(exc.value, GridError)
+
+
+def test_curve_fits_only_when_its_records_admit_a_fit():
+    rot = make_rotation([GOLDEN])
+    for n_values in ([10, 11, 12, 13, 14, 15, 16, 17], [1, 2, 4, 8, 16],
+                     [0, 1, 2, 3, 5, 8, 13, 21]):
+        curve = complexity_curve(rot, 0.1, n_values)
+        assert curve.fit is None and len(curve.records) == len(n_values)
+        with pytest.raises(ValueError):
+            classify_growth(curve)
+    assert complexity_curve(rot, 0.1, [1, 2, 3, 5, 8, 13, 21, 34]).fit["class"] == "bounded"
+    for n_values in ([], [-1, 5]):
+        with pytest.raises(ValueError, match="n-grid needs at least one horizon"):
+            complexity_curve(rot, 0.1, n_values)
 
 
 def test_classifier_synthetic_fixtures():

@@ -12,6 +12,7 @@ from nillab.independence import (Ball, Cylinder, SetTuple, _route_context,
                                  check_independence, find_ip_independence, fs_set,
                                  independence_ladder, sturmian_language)
 from nillab.nilgroup import heisenberg3
+from nillab.nilmetric import BudgetError
 from nillab.systems import (make_fullshift, make_nilsystem, make_rotation,
                             make_skew_product, make_sturmian, sturmian_coding)
 from nillab.targets import CylinderUnion
@@ -310,7 +311,7 @@ def test_scan_matches_per_tuple_checks_on_a_three_arc_partition():
     rot = make_rotation([GOLDEN])
     sets = SetTuple((Ball((0.125,), 0.125), Ball((0.5,), 0.25), Ball((0.875,), 0.125)))
     ctx = _route_context(rot, sets)
-    assert ctx["route"] == "partition" and len(ctx["boundaries"]) == 3
+    assert ctx["route"] == "partition" and ctx["cells"] == 3
     _assert_scans_agree(rot, sets, [(1, 12), (2, 8), (3, 5)])
 
 
@@ -324,6 +325,47 @@ def test_scan_matches_per_tuple_checks_off_the_partition_route():
     assert _route_context(fsh, balls)["route"] == "constraints"
     _assert_scans_agree(fsh, balls, [(1, 12), (2, 6)])
     _assert_scans_agree(fsh, BINARY, [(1, 3), (3, 3)])
+
+
+@pytest.mark.parametrize("sys,empty", [
+    (make_sturmian(GOLDEN), Cylinder((5,), 0)),
+    (make_rotation([GOLDEN]), Cylinder((1,), 0)),
+    (make_fullshift(2), Cylinder((2,), 0)),
+], ids=["sturmian", "rotation", "fullshift"])
+def test_scan_matches_per_tuple_checks_on_an_empty_target(sys, empty):
+    sets = SetTuple((Cylinder((0,), 0), empty))
+    assert _route_context(sys, sets)["cells"] == 0
+    _assert_scans_agree(sys, sets, [(1, 12), (2, 8), (3, 5)])
+
+
+def test_empty_target_scan_is_refuted_by_counting(monkeypatch):
+    # zero cells: every tuple is refuted before its time set is built
+    stu = make_sturmian(GOLDEN)
+    sets = SetTuple((Cylinder((0,), 0), Cylinder((5,), 0)))
+    built, fs = [], independence.fs_set
+
+    def counted(gens):
+        built.append(gens)
+        return fs(gens)
+
+    monkeypatch.setattr(independence, "fs_set", counted)
+    ip, rep = find_ip_independence(stu, sets, 3, 50)
+    assert ip is None and rep["scanned"] == 22100 and rep["patterns_checked"] == 5097600
+    assert built == []
+
+
+def test_pattern_enumeration_past_max_cells_is_a_budget_error():
+    skew = make_skew_product(GOLDEN)
+    rot = make_rotation([GOLDEN])
+    tight = SearchBudget(max_cells=10)
+    for sys, sets, suffix in (
+            (skew, SetTuple((Ball((0.2, 0.1), 0.05), Ball((0.2, 0.7), 0.05))), ""),
+            (rot, SetTuple((Ball((0.2,), 0.3), Ball((0.45,), 0.3))),
+             " for the non-partition arc route")):
+        with pytest.raises(BudgetError, match="^pattern count 16 overflows the budget%s$"
+                           % suffix):
+            check_independence(sys, sets, (0, 1, 2, 3), tight)
+        assert check_independence(sys, sets, (0, 1, 2), tight).patterns_checked == 8
 
 
 def _constraints_report_pairwise(sys, cons, F, k):

@@ -320,6 +320,19 @@ def test_block_orbit_matches_point_orbits(sys):
     assert np.array_equal(nested[:, :, 0], sys.orbit_span(X, -3, 4))
 
 
+@pytest.mark.parametrize("sys", every_constructor(), ids=lambda s: s.name)
+def test_orbit_span_rejects_a_negative_length(sys):
+    X = sample_points(sys, 3, seed=0)
+    # hi = lo - 1 is the empty span, which orbit_block(x, 0) asks for
+    assert sys.orbit_block(X[0], 0).shape == (0,) + X[0].shape
+    assert sys.orbit_span(X, 5, 4).shape == (0,) + X.shape
+    for x, lo, hi in ((X[0], 0, -4), (X, 5, 3), (X, -2, -10)):
+        with pytest.raises(ValueError, match="negative length"):
+            sys.orbit_span(x, lo, hi)
+    with pytest.raises(ValueError, match="negative length"):
+        sys.orbit_block(X[0], -3)
+
+
 def traced_callables():
     """The handle callables perfbench's tracer wraps, read from the tracer."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
