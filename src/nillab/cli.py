@@ -145,32 +145,27 @@ def _point_width(sys):
     return sys.sample_block(np.random.default_rng(0), 1).shape[-1]
 
 
-def _coordinates(sys, text):
-    """A `/`-separated float literal, checked against the point width."""
-    vals = [_num(t) for t in text.split("/")]
-    width = _point_width(sys)
-    # a full-shift ball centre may be shorter than the window: Ball.run reads its reach
-    if len(vals) != width and sys.name != "fullshift":
-        raise ConfigError("%r has %d coordinates; %s points have %d"
-                          % (text, len(vals), sys.name, width))
-    return vals
-
-
-def parse_point(sys, text):
-    """Point literal: `/`-separated floats, or a symbol word for full shifts."""
-    if sys.name == "fullshift":
+def parse_point(sys, text, centre=False):
+    """Point literal: a symbol word on a handle that builds points from symbol
+    runs (`construct_point`), else `/`-separated floats, made into a point by
+    the handle's `make_point` or checked against its point width. A ball
+    `centre` on a `construct_point` handle is a `/`-separated centre row of
+    any reach: Ball.run reads the reach from it."""
+    if sys.construct_point is not None and not centre:
         word = np.array([int(c) for c in text], dtype=np.int8)
         point = sys.construct_point([(-(len(word) // 2), word)])
         if point is None:
             raise ConfigError("word %r is no point of this shift: it must fit the "
                               "configured window and use symbols 0..k-1" % text)
         return point
-    if sys.name == "furstenberg":
-        vals = [_num(t) for t in text.split("/")]
-        if len(vals) != 2:
-            raise ConfigError("furstenberg points are theta1/theta2")
-        return sys.make_point(vals[0], vals[1])
-    return np.asarray(_coordinates(sys, text), dtype=float)
+    vals = [_num(t) for t in text.split("/")]
+    if sys.make_point is not None:
+        return sys.make_point(*vals)
+    width = _point_width(sys)
+    if len(vals) != width and sys.construct_point is None:
+        raise ConfigError("%r has %d coordinates; %s points have %d"
+                          % (text, len(vals), sys.name, width))
+    return np.asarray(vals, dtype=float)
 
 
 def parse_targets(sys, text):
@@ -185,7 +180,8 @@ def parse_targets(sys, text):
                                     int(anchor) if anchor else 0))
         elif kind == "ball":
             center, _, radius = rest.partition("@")
-            targets.append(Ball(tuple(_coordinates(sys, center)), _num(radius)))
+            targets.append(Ball(tuple(parse_point(sys, center, centre=True).tolist()),
+                                _num(radius)))
         else:
             raise ConfigError("unknown target kind %r" % kind)
     empty = empty_target(sys, targets)
@@ -207,11 +203,12 @@ def budget_from(args):
 
 
 def resolved_config(args, extra=None):
-    keys = ("command system seed threads eps n_max d delta m bound targets "
-            "F start steps observable n_range candidates grid_divisor "
-            "max_cells spec x y x1 x2").split()
-    cfg = {k: getattr(args, k) for k in keys
-           if getattr(args, k, None) is not None}
+    """The header of an output file: the command and each of its `COMMANDS`
+    options that is set, by argparse dest, except the output paths. The
+    global --config and --threads change no output byte and stay out."""
+    dests = [flag.lstrip("-").replace("-", "_") for flag, _ in COMMANDS[args.command][3]
+             if flag not in ("--out", "--out-json")]
+    cfg = {k: getattr(args, k) for k in ["command"] + dests if getattr(args, k) is not None}
     if extra:
         cfg.update(extra)
     return cfg
@@ -329,6 +326,8 @@ def cmd_ip_search(args, sys_):
 def cmd_averages(args, sys_, x):
     if not (args.out_json if args.probe else args.out):
         raise ConfigError("averages needs --out-json with --probe, --out without")
+    if args.probe and args.start:
+        raise ConfigError("averages --probe samples its own --starts; it takes no --start")
     width = _point_width(sys_)
     observables = [_parse_observable(t, width) for t in args.observable.split()]
     if args.probe:

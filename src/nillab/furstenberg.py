@@ -25,7 +25,6 @@ per distinct (rotation, start phases) column: the bits of a per-harmonic pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -82,15 +81,7 @@ def _cocycle_terms(phis, rotations):
     return cp * np.cos(TWO_PI * rotations) - sp * np.sin(TWO_PI * rotations) - cp
 
 
-@dataclass
-class FurstenbergSystem(SystemHandle):
-    """Skew product whose point rows carry their harmonic phases."""
-
-    make_point: callable = None         # (theta1, theta2) -> point row
-    rotations: np.ndarray = None        # frac(n_k alpha) per harmonic
-
-
-def make_furstenberg(alpha, coeffs, lam=1.0) -> FurstenbergSystem:
+def make_furstenberg(alpha, coeffs, lam=1.0) -> SystemHandle:
     """Skew product T(s1, s2) = (s1 + alpha, s2 + lam * h(s1)) on the 2-torus.
 
     coeffs is a list of (n_k, k) pairs for k >= 1 (negative k are implied by
@@ -132,14 +123,17 @@ def make_furstenberg(alpha, coeffs, lam=1.0) -> FurstenbergSystem:
         out[..., 1] = (X[..., 1] + lam * (H(phases, back) - H(X[..., 2 + first], back))) % 1.0
         return out
 
-    def make_point(theta1, theta2):
+    def make_point(*thetas):
+        if len(thetas) != 2:
+            raise ValueError("furstenberg points are theta1/theta2")
+        theta1, theta2 = thetas
         phis = _exact_phases(theta1, freqs)
         return np.concatenate([[float(theta1) % 1.0, float(theta2) % 1.0], phis])
 
-    return FurstenbergSystem(
+    return SystemHandle(
         name="furstenberg", kind="torus",
         metric_block=metric_block, sample_block=sample_block, orbit=orbit,
-        diameter=0.5, flags=flags, make_point=make_point, rotations=rotations,
+        diameter=0.5, flags=flags, make_point=make_point,
     )
 
 

@@ -143,6 +143,7 @@ class SystemHandle:
     window: callable = None                  # block (..., d) -> int8 symbols (..., 2L+1)
     construct_point: callable = None         # [(offset, 1-d symbols)] -> point | None
     coding: "CircleCoding" = None            # exact rotation-coded structure
+    make_point: callable = None              # (*coordinates) -> point; ValueError on a bad count
 
     # -- dynamics derived from the orbit, and scalar conveniences --
 

@@ -59,6 +59,8 @@ class CylinderUnion:
     cylinders: tuple
 
     def depth(self, sys, P):
+        if sys.window is None:
+            raise ValueError("a cylinder needs symbols: %s points have no window" % sys.name)
         words = sys.window(P)                   # (..., 2c+1) symbols at offsets -c..c
         c = (words.shape[-1] - 1) // 2
         reach = max(max(abs(a), abs(a + len(w) - 1)) for w, a in self.cylinders)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from nillab.cli import (COMMANDS, SYSTEMS, ConfigError, UsageError, build_parser,
-                        build_system, main, parse_descriptor)
+                        build_system, main, parse_descriptor, resolved_config)
 
 
 def run(argv):
@@ -264,7 +264,7 @@ def test_threads_flag_before_subcommand(tmp_path):
     one, two = tmp_path / "one.csv", tmp_path / "two.csv"
     assert run(["--threads", "1"] + ladder + [str(one)]) == 0
     assert run(["--threads", "2"] + ladder + [str(two)]) == 0
-    assert _data_rows(two) == _data_rows(one)
+    assert two.read_bytes() == one.read_bytes()      # the header holds no thread count
 
     cfg = tmp_path / "exp.ini"
     cfg.write_text("[simulate]\nsystem = rotation:alpha=golden\nsteps = 7\n")
@@ -391,7 +391,12 @@ def test_missing_system_is_config_error(tmp_path):
      "ball:0.1/0.2@0.1 ball:0.5@0.1", "--F", "0,1", "--seed", "0", "--out-json"],
     ["cube-criterion", "--system", "heisenberg", "--x1", "0.1/0.2/0.3/0.4",
      "--x2", "0.1/0.2/0.3", "--seed", "0", "--out-json"],
-], ids=["short-start", "short-point", "wide-ball-centre", "wide-point"])
+    # furstenberg points are theta1/theta2, whatever the width of their rows
+    ["simulate", "--system", "furstenberg:K=5", "--start", "0.1/0.2/0.3", "--out"],
+    ["ind-check", "--system", "furstenberg:K=5", "--targets",
+     "ball:0.1/0.2@0.05 ball:0.5@0.05", "--F", "0,1", "--seed", "0", "--out-json"],
+], ids=["short-start", "short-point", "wide-ball-centre", "wide-point",
+        "furstenberg-wide-start", "furstenberg-short-ball-centre"])
 def test_point_width_is_checked(tmp_path, argv):
     out = tmp_path / "out"
     assert run(argv + [str(out)]) == 2
@@ -432,8 +437,10 @@ def test_averages_probe_single_observable_keeps_its_trio(tmp_path):
     ["--observable", "cos:0 coord:0", "--out", "avg.csv"],
     ["--out-json", "avg.json"],
     ["--probe", "--out", "avg.csv"],
+    # the probe samples its own --starts: a --start would be ignored
+    ["--probe", "--start", "0.1/0.2", "--out-json", "avg.json"],
 ], ids=["index-past-width", "negative-index", "two-without-probe", "no-out",
-        "probe-without-out-json"])
+        "probe-without-out-json", "probe-with-start"])
 def test_averages_bad_observable_or_output_is_config_error(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     assert run(["averages", "--system", "skew:alpha=golden", "--n-max", "100"]
@@ -470,3 +477,57 @@ def test_fullshift_symbol_outside_the_alphabet_is_a_config_error(tmp_path, argv,
     out = tmp_path / "o.out"
     assert run(argv + [str(out)]) == 2
     assert "config error" in capsys.readouterr().err and not out.exists()
+
+
+def test_furstenberg_points_and_ball_centres_are_theta1_theta2(tmp_path, capsys):
+    # the handle's make_point reads the literal, for points and ball centres alike
+    js = tmp_path / "ind.json"
+    assert run(["ind-check", "--system", "furstenberg:K=5", "--targets",
+                "ball:0.1/0.2@0.05 ball:0.5/0.5@0.05", "--F", "0,1", "--seed", "0",
+                "--out-json", str(js)]) == 0
+    assert json.loads(js.read_text())["report"]["patterns_checked"] == 4
+    out = tmp_path / "sim.csv"
+    assert run(["simulate", "--system", "furstenberg:K=5", "--start", "0.1/0.2/0.3",
+                "--out", str(out)]) == 2
+    assert "furstenberg points are theta1/theta2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("system", ["skew:alpha=golden", "heisenberg"])
+def test_cylinder_on_a_system_without_symbols_is_a_config_error(tmp_path, system, capsys):
+    js = tmp_path / "k.json"
+    assert run(["ind-check", "--system", system, "--targets", "cyl:0@0 cyl:1@0",
+                "--F", "0,1", "--seed", "0", "--out-json", str(js)]) == 2
+    assert "config error" in capsys.readouterr().err and not js.exists()
+
+
+def test_rotation_cylinders_keep_their_exact_arcs_route(tmp_path):
+    js = tmp_path / "k.json"
+    assert run(["ind-check", "--system", "rotation:alpha=golden", "--targets",
+                "cyl:0@0 cyl:0@1", "--F", "0,1", "--seed", "0", "--out-json", str(js)]) == 0
+    rep = json.loads(js.read_text())["report"]
+    assert rep["exact"] and rep["verified"] and rep["note"].startswith("arc-intersection")
+
+
+def _every_option(options):
+    """argv tail setting each option, output paths included, to a typed value."""
+    argv = []
+    for flag, kw in options:
+        if kw.get("action") == "store_true":
+            argv.append(flag)
+        else:
+            argv += [flag, {int: "1", float: "0.5"}.get(kw.get("type"), "x")]
+    return argv
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_header_holds_every_option_but_the_outputs(name):
+    options = COMMANDS[name][3]
+    args = build_parser({}, name).parse_args(
+        ["--threads", "2", name] + _every_option(options))
+    header = resolved_config(args)
+    # keys are argparse dests: --F stays F, --n-grid is n_grid
+    want = {flag.lstrip("-").replace("-", "_") for flag, _ in options} - {"out", "out_json"}
+    assert set(header) == want | {"command"}
+    assert "threads" not in header and "config" not in header
+

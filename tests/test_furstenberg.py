@@ -6,11 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nillab.furstenberg import (TWO_PI, _cocycle_terms, _exact_phases, _ratio_pair,
-                                coboundary_prefix_residuals, coboundary_residual,
-                                furstenberg_point, liouville_recipe,
-                                make_default_furstenberg, make_furstenberg,
-                                validate_resonances)
+from nillab.furstenberg import (TWO_PI, _cocycle_terms, _exact_phases, _harmonics,
+                                _ratio_pair, coboundary_prefix_residuals,
+                                coboundary_residual, furstenberg_point, liouville_recipe,
+                                make_furstenberg, validate_resonances)
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -64,8 +63,8 @@ def test_recipe_resonances_certified():
     assert validate_resonances(alpha, coeffs)["ok"]
     # the certified bound really is strong: first-block phases are within
     # 2^-1/n^4 of an integer
-    sys = make_default_furstenberg(K=30)
-    r1 = min(sys.rotations[0], 1 - sys.rotations[0])
+    rotations = _harmonics(alpha, coeffs)[2]
+    r1 = min(rotations[0], 1 - rotations[0])
     assert r1 <= 2.0 ** (-1) / (coeffs[0][0] ** 4) / (2 * np.pi)
 
 
@@ -87,7 +86,7 @@ def test_exact_phases_beat_float_rounding():
     theta = 0.37
     p = furstenberg_point(sys, theta, 0.0)
     q = furstenberg_point(sys, (theta + float(alpha)) % 1.0, 0.0)
-    exact_next = (p[2:] + sys.rotations) % 1.0
+    exact_next = (p[2:] + _harmonics(alpha, coeffs)[2]) % 1.0
     # the float-constructed point q disagrees for the big frequencies
     assert np.max(np.abs(q[2:] - exact_next)) > 1e-3
     # while the dynamics' phase update is the exact one
@@ -164,7 +163,8 @@ def test_phases_rotations_and_points_match_the_per_harmonic_loop(alpha, coeffs):
         assert np.array_equal(bits(_exact_phases(theta, freqs)),
                               bits(loop_exact_phases(theta, freqs)))
     sys = make_furstenberg(alpha, coeffs, lam=0.7)
-    assert np.array_equal(bits(sys.rotations), bits(loop_exact_phases(alpha, freqs)))
+    assert np.array_equal(bits(_harmonics(alpha, coeffs)[2]),
+                          bits(loop_exact_phases(alpha, freqs)))
     for t1, t2 in ((0.15, 0.35), (0.8125, 1.5), (Fraction(1, 3), 0.0)):
         row = np.concatenate([[float(t1) % 1.0, float(t2) % 1.0],
                               loop_exact_phases(t1, freqs)])
@@ -243,3 +243,10 @@ def test_orbit_keys_on_start_phases_not_only_frequencies():
     got = sys.orbit_block(p, 50)
     assert not np.array_equal(got[:, 2], got[:, 3])
     assert np.array_equal(bits(got), bits(loop_orbit(GOLDEN, [(3, 1), (3, 2)], 1.0, p, 0, 49)))
+
+
+def test_make_point_rejects_a_wrong_coordinate_count():
+    sys = make_furstenberg(GOLDEN, fib_coeffs(3))
+    for thetas in ((0.1,), (0.1, 0.2, 0.3)):
+        with pytest.raises(ValueError, match="theta1/theta2"):
+            sys.make_point(*thetas)
