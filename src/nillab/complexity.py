@@ -109,7 +109,7 @@ def shadowing_net(sys: SystemHandle, n, epsilon, budget: SearchBudget = DEFAULT_
     elementwise comparisons `metric <= epsilon` as a full scan, so the net is
     the one the full scan builds.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if grid is None:
         grid, exact = _grid(sys, n, epsilon, budget)
@@ -199,6 +199,8 @@ def complexity_curve(sys: SystemHandle, epsilon, n_values,
                      classify=True) -> ComplexityCurve:
     """r(n, epsilon) estimates over an n-grid, on one shared grid per horizon;
     with `classify`, a growth fit if the records admit one (`_unfit`)."""
+    if not epsilon > 0:                         # NaN too, before any grid is sized
+        raise ValueError("epsilon must be positive")
     n_values = sorted(set(int(n) for n in n_values))
     if not n_values or n_values[0] < 0:
         raise ValueError("the n-grid needs at least one horizon, and every n >= 0")
@@ -274,7 +276,7 @@ def classify_growth(curve: ComplexityCurve) -> dict:
 
 
 def cover_complexity(sys: SystemHandle, cover: Cover, n,
-                     budget: SearchBudget = DEFAULT_BUDGET, grid=None):
+                     budget: SearchBudget = DEFAULT_BUDGET):
     """Greedy upper estimate of the minimal subcover of the n-fold join.
 
     Join cells are itineraries (which cover set to use at each time 0..n);
@@ -291,8 +293,7 @@ def cover_complexity(sys: SystemHandle, cover: Cover, n,
     eps_ref = delta if delta is not None else cover.estimate_lebesgue(sys)
     if eps_ref <= 0:
         raise ValueError("cover has nonpositive Lebesgue estimate")
-    if grid is None:
-        grid = system_grid(sys, n, eps_ref, budget)
+    grid = system_grid(sys, n, eps_ref, budget)
     coverage = _join_coverage(sys, cover, grid, n, budget)
     chosen = _greedy_cover(coverage)
     out = {"estimate": len(chosen), "n": n, "cells_considered": len(coverage),

@@ -172,7 +172,7 @@ def rp_test(sys: SystemHandle, x, y, d, delta, budget: SearchBudget = DEFAULT_BU
     """
     if d < 1:
         raise ValueError("order d must be >= 1")
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     x, y = np.asarray(x), np.asarray(y)
     rng = np.random.default_rng(budget.seed)

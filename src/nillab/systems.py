@@ -494,7 +494,9 @@ def make_fullshift(k, L=8, reserve=128) -> SystemHandle:
 def make_inverse_limit(levels, factor_maps) -> SystemHandle:
     """Finite tower of systems glued along factor maps, with metric sum 2^-i rho_i.
 
-    Points are threads: the levels' points side by side.
+    A point of the tower is fixed by its top entry, so points, samples,
+    orbits and grid rows are the top level's; the metric reads level i
+    through the composed factor maps.
 
     factor_maps[i] sends level-(i+2) point blocks onto level-(i+1) blocks and
     must intertwine the steps within 1e-9 on 64 sampled points (seed 0).
@@ -512,42 +514,28 @@ def make_inverse_limit(levels, factor_maps) -> SystemHandle:
                 "factor map %d is not a semiconjugacy on samples (residual %.3g)"
                 % (i, resid))
 
-    probe = [lvl.sample_block(np.random.default_rng(0), 1) for lvl in levels]
-    widths = [p.shape[1] for p in probe]
-    splits = np.cumsum(widths)[:-1]
+    top = levels[-1]
     weights = np.array([0.5 ** (i + 1) for i in range(len(levels))])
 
-    def _parts(P):
-        return np.split(P, splits, axis=-1)
+    def _down(P):
+        """The points of levels 0..top under a block of top points."""
+        parts = [P]
+        for pi in reversed(factor_maps):
+            parts.append(pi(parts[-1]))
+        return parts[::-1]
 
     def metric_block(P, Q):
-        parts_p, parts_q = _parts(P), _parts(Q)
         return sum(w * lvl.metric_block(pp, qq)
-                   for w, lvl, pp, qq in zip(weights, levels, parts_p, parts_q))
-
-    def _thread_from_top(top):
-        thread = [top]
-        for pi in reversed(factor_maps):
-            thread.append(pi(thread[-1]))
-        return np.concatenate(list(reversed(thread)), axis=-1)
-
-    def sample_block(rng, count):
-        return _thread_from_top(levels[-1].sample_block(rng, count))
+                   for w, lvl, pp, qq in zip(weights, levels, _down(P), _down(Q)))
 
     def grid(n, eps, budget):
-        # threads are parameterized by the top level: grid it and push down
-        if levels[-1].grid is None:
+        if top.grid is None:
             raise ValueError("top level offers no grid to thread")
-        top_grid, _ = levels[-1].grid(n, eps, budget)
-        return _thread_from_top(top_grid), False
-
-    def orbit(X, lo, hi):
-        return np.concatenate(
-            [lvl.orbit_span(part, lo, hi) for lvl, part in zip(levels, _parts(X))], axis=-1)
+        return top.grid(n, eps, budget)[0], False
 
     diam = float(np.dot(weights, [lvl.diameter for lvl in levels]))
     return SystemHandle(
         name="inverse_limit", kind="product",
-        metric_block=metric_block, sample_block=sample_block, orbit=orbit,
+        metric_block=metric_block, sample_block=top.sample_block, orbit=top.orbit,
         diameter=diam, grid=grid,
     )

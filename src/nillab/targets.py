@@ -29,6 +29,10 @@ class Ball:
     center: tuple
     radius: float
 
+    def __post_init__(self):
+        if not self.radius > 0:                 # NaN too
+            raise ValueError("ball radius must be positive, not %r" % self.radius)
+
     def depth(self, sys, P):
         center = np.asarray(self.center)
         return self.radius - sys.metric_block(P, np.broadcast_to(center, P.shape))

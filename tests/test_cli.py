@@ -509,6 +509,29 @@ def test_rotation_cylinders_keep_their_exact_arcs_route(tmp_path):
     assert rep["exact"] and rep["verified"] and rep["note"].startswith("arc-intersection")
 
 
+@pytest.mark.parametrize("argv", [
+    ["complexity", "--system", "rotation:alpha=golden", "--eps", "0", "--n-grid", "1",
+     "--out"],
+    ["complexity", "--system", "rotation:alpha=golden", "--eps", "-0.1", "--n-grid", "1",
+     "--out"],
+    ["cube-criterion", "--system", "skew:alpha=golden", "--x1", "0.1/0.1", "--x2",
+     "0.2/0.2", "--delta", "0", "--seed", "0", "--out-json"],
+    ["cube-criterion", "--system", "skew:alpha=golden", "--x1", "0.1/0.1", "--x2",
+     "0.2/0.2", "--delta", "-1", "--seed", "0", "--out-json"],
+    ["cube-criterion", "--system", "skew:alpha=golden", "--x1", "0.1/0.1", "--x2",
+     "0.2/0.2", "--delta", "nan", "--seed", "0", "--out-json"],
+    ["rp-test", "--system", "skew:alpha=golden", "--x", "0.2/0.1", "--y", "0.2/0.7",
+     "--delta", "nan", "--seed", "0", "--out-json"],
+    ["ind-check", "--system", "rotation:alpha=golden", "--targets",
+     "ball:0.1@0.1 ball:0.5@0", "--F", "0,1", "--seed", "0", "--out-json"],
+], ids=["eps-zero", "eps-negative", "cube-delta-zero", "cube-delta-negative",
+        "cube-delta-nan", "rp-delta-nan", "ball-radius-zero"])
+def test_a_scale_that_is_not_positive_is_a_config_error(tmp_path, argv, capsys):
+    out = tmp_path / "o.out"
+    assert run(argv + [str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ") and not out.exists()
+
+
 def _every_option(options):
     """argv tail setting each option, output paths included, to a typed value."""
     argv = []

@@ -51,6 +51,39 @@ def test_fullshift_full_F():
             assert orbit[j][center] == s - 1
 
 
+def witnesses_visiting(sys, sets, F, route):
+    """Number of witnesses of an exact report, each checked to visit its
+    pattern's targets at the times of F on the system's own orbit."""
+    assert _route_context(sys, sets)["route"] == route
+    rep = check_independence(sys, sets, F)
+    assert rep.exact
+    pats = list(rep.witnesses)
+    if not pats:
+        return 0
+    member = targets.visits(sys, sets.targets, np.stack([rep.witnesses[p] for p in pats]),
+                            rep.F, member=True)                 # (k, witnesses, |F|)
+    for z, pat in enumerate(pats):
+        assert all(member[s - 1, z, j] for j, s in enumerate(pat)), (rep.F, pat)
+    return len(pats)
+
+
+def test_exact_route_witnesses_visit_their_targets():
+    ip_times = [(0,) + fs_set([p1, p2]).elements
+                for p1 in range(1, 30) for p2 in range(p1, 30)]
+    stu, rot = make_sturmian(GOLDEN), make_rotation([GOLDEN])
+    checked = sum(witnesses_visiting(stu, BINARY, F, "partition") for F in ip_times)
+    rng = np.random.default_rng(0)
+    for F in ip_times:
+        centres, radii = rng.uniform(0.0, 1.0, 2), rng.uniform(0.05, 0.3, 2)
+        sets = SetTuple(tuple(Ball((c,), r) for c, r in zip(centres, radii)))
+        checked += witnesses_visiting(rot, sets, F, "arcs")
+    # the ind_rotation.json golden fixture
+    checked += witnesses_visiting(rot, SetTuple((Ball((0.35,), 0.3), Ball((0.6,), 0.3))),
+                                  (0, 1, 3, 8), "arcs")
+    checked += witnesses_visiting(make_fullshift(2, L=8), BINARY, (0, 1, 2, 3), "constraints")
+    assert checked > 4000, checked
+
+
 def test_singleton_F_reduces_to_nonemptiness():
     stu = make_sturmian(GOLDEN)
     rep = check_independence(stu, BINARY, [5])

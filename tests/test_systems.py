@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from nillab.budgets import SearchBudget
+from nillab.complexity import shadowing_net
 from nillab.furstenberg import make_furstenberg
 from nillab.nilgroup import (abelian, element, heisenberg3, inv, load_group, power,
                              power_sequence)
@@ -275,19 +276,79 @@ def test_inverse_limit_metric_and_validation():
         make_inverse_limit([rot, rot], [lambda P: (2.0 * P) % 1.0])
 
 
-def test_inverse_limit_tower_rotation_skew():
-    rot = make_rotation([GOLDEN])
-    skew = make_skew_product(GOLDEN)
-    tower = make_inverse_limit([rot, skew], [lambda P: P[..., :1]])
-    pts = sample_points(tower, 32, seed=5)
+def towers():
+    """(levels, factor maps): a rotation under a skew product, and a
+    2-torus rotation under a Heisenberg nilsystem."""
+    b = np.sqrt(2) / 2
+    return [([make_rotation([GOLDEN]), make_skew_product(GOLDEN)], [lambda P: P[..., :1]]),
+            ([make_rotation([GOLDEN, b]), make_nilsystem(heisenberg3(), [GOLDEN, b, 0.0])],
+             [lambda P: P[..., :2]])]
 
-    def thread_gap(P):
-        # the skew level's first coordinate must project onto the rotation level
-        return np.max(rot.metric_block(P[..., 1:2], P[..., :1]))
 
-    assert thread_gap(pts) <= 1e-12
-    orbit = tower.orbit_block(pts[0], 25)
-    assert thread_gap(orbit) <= 1e-9
+def thread_layout(levels, factor_maps):
+    """Oracle: the tower with every level's point side by side in a thread.
+    Returns (thread of a top block, metric of thread blocks, orbit of a
+    thread block advancing each level on its own)."""
+    widths = [lvl.sample_block(np.random.default_rng(0), 1).shape[1] for lvl in levels]
+    splits = np.cumsum(widths)[:-1]
+    weights = np.array([0.5 ** (i + 1) for i in range(len(levels))])
+
+    def parts(P):
+        return np.split(P, splits, axis=-1)
+
+    def thread(top):
+        out = [top]
+        for pi in reversed(factor_maps):
+            out.append(pi(out[-1]))
+        return np.concatenate(out[::-1], axis=-1)
+
+    def metric_block(P, Q):
+        return sum(w * lvl.metric_block(p, q)
+                   for w, lvl, p, q in zip(weights, levels, parts(P), parts(Q)))
+
+    def orbit(X, lo, hi):
+        return np.concatenate([lvl.orbit_span(p, lo, hi)
+                               for lvl, p in zip(levels, parts(X))], axis=-1)
+
+    return thread, metric_block, orbit
+
+
+@pytest.mark.parametrize("levels,maps", towers(), ids=["rotation-skew", "torus-heisenberg"])
+def test_tower_points_and_orbits_are_the_top_levels(levels, maps):
+    tower, top = make_inverse_limit(levels, maps), levels[-1]
+    X = sample_points(tower, 16, seed=5)
+    assert np.array_equal(X, sample_points(top, 16, seed=5))
+    for lo, hi in ((0, 40), (-30, 5000)):
+        assert np.array_equal(tower.orbit_span(X, lo, hi), top.orbit_span(X, lo, hi))
+
+
+@pytest.mark.parametrize("levels,maps", towers(), ids=["rotation-skew", "torus-heisenberg"])
+def test_tower_metric_is_the_thread_formula(levels, maps):
+    tower = make_inverse_limit(levels, maps)
+    thread, thread_metric, _ = thread_layout(levels, maps)
+    rows = tower.orbit_span(sample_points(tower, 20, seed=7), 0, 19).reshape(400, -1)
+    P, Q = rows[:200], rows[200:]
+    assert np.array_equal(tower.metric_block(P, Q), thread_metric(thread(P), thread(Q)))
+    assert tower.diameter == float(np.dot([0.5, 0.25], [lvl.diameter for lvl in levels]))
+
+
+def test_rotation_skew_tower_matches_its_thread_layout():
+    # the skew product's first coordinate is the rotation's orbit, float for
+    # float, so on this tower the thread layout's orbits and nets are the same
+    levels, maps = towers()[0]
+    tower = make_inverse_limit(levels, maps)
+    thread, thread_metric, thread_orbit = thread_layout(levels, maps)
+    X = sample_points(tower, 16, seed=3)
+    assert np.array_equal(thread_orbit(thread(X), -20, 300),
+                          thread(tower.orbit_span(X, -20, 300)))
+    budget = SearchBudget(grid_divisor=(16.0, 4.0))
+    oracle = dataclasses.replace(
+        tower, metric_block=thread_metric, orbit=thread_orbit,
+        grid=lambda n, eps, budget: (thread(tower.grid(n, eps, budget)[0]), False))
+    for n, eps in ((3, 0.2), (8, 0.3)):
+        net, want = shadowing_net(tower, n, eps, budget), shadowing_net(oracle, n, eps, budget)
+        assert np.array_equal(net["assigned"], want["assigned"])
+        assert np.array_equal(thread(net["net_points"]), want["net_points"])
 
 
 def test_approx_rational():
