@@ -4,7 +4,7 @@ run experiments, emit deterministic CSV/JSON reports.
 Exit codes: 0 success; 2 precondition or configuration error; 3 exceeded
 enumeration/search budget where the command needs the result; 64 any usage
 error (an unknown subcommand or flag, a missing required flag, a badly typed
-value). --config and --threads go before the subcommand.
+value). --config goes before the subcommand.
 
 A config file (--config) is an INI document: keys of its [common] section
 apply to each subcommand that has the flag, keys of a [<command>] section
@@ -23,10 +23,8 @@ import argparse
 import configparser
 import csv as _csv
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -133,11 +131,13 @@ def build_system(descriptor):
 
 def load_coeffs_csv(path):
     """Frequency table with columns k, n_k."""
-    coeffs = []
     with open(path) as fh:
-        for row in _csv.DictReader(fh):
-            coeffs.append((int(row["n_k"]), int(row["k"])))
-    return coeffs
+        reader = _csv.DictReader(fh)
+        missing = sorted({"k", "n_k"} - set(reader.fieldnames or ()))
+        if missing:
+            raise ConfigError("coefficient table %r lacks the column %s"
+                              % (path, ", ".join(missing)))
+        return [(int(row["n_k"]), int(row["k"])) for row in reader]
 
 
 def _point_width(sys):
@@ -205,20 +205,13 @@ def budget_from(args):
 def resolved_config(args, extra=None):
     """The header of an output file: the command and each of its `COMMANDS`
     options that is set, by argparse dest, except the output paths. The
-    global --config and --threads change no output byte and stay out."""
+    global --config changes no output byte and stays out."""
     dests = [flag.lstrip("-").replace("-", "_") for flag, _ in COMMANDS[args.command][3]
              if flag not in ("--out", "--out-json")]
     cfg = {k: getattr(args, k) for k in ["command"] + dests if getattr(args, k) is not None}
     if extra:
         cfg.update(extra)
     return cfg
-
-
-def _parallel_map(fn, items, threads):
-    if threads <= 1:
-        return [fn(i) for i in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # -- subcommand implementations -------------------------------------------------
@@ -309,11 +302,8 @@ def cmd_ind_check(args, sys_):
 def cmd_ip_search(args, sys_):
     sets = parse_targets(sys_, args.targets)
     m_values = list(range(1, args.m + 1)) if args.ladder else [args.m]
-    budget = budget_from(args)
     t0 = time.time()
-    rows = _parallel_map(
-        lambda m: independence_ladder(sys_, sets, [m], [args.bound], budget)[0],
-        m_values, args.threads)
+    rows = independence_ladder(sys_, sets, m_values, [args.bound], budget_from(args))
     print("ip-search: %.2fs" % (time.time() - t0), file=sys.stderr)
     cols = ["m", "B", "status", "witness_generators", "patterns_checked", "scanned"]
     reports.write_csv(args.out, cols, rows, resolved_config(args))
@@ -443,8 +433,6 @@ def _global_options():
     """Parser of the options that precede the subcommand."""
     ap = _Parser(prog="nillab", add_help=False)
     ap.add_argument("--config", help="INI config file; flags override its keys")
-    ap.add_argument("--threads", type=int,
-                    default=int(os.environ.get("NILLAB_THREADS", "1")))
     return ap
 
 
@@ -501,7 +489,7 @@ def main(argv=None):
     except (BudgetError, GridError) as exc:
         print("budget exceeded: %s" % exc, file=sys.stderr)
         return BUDGET_EXIT
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:     # OSError: a file that cannot be read or written
         print("config error: %s" % exc, file=sys.stderr)
         return CONFIG_EXIT
 

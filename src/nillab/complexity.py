@@ -39,23 +39,18 @@ class Cover:
         """Containment depth per set: how far inside each set each point sits."""
         return np.stack([s.depth(sys, P) for s in self.sets], axis=1)
 
-    def _deepest(self, sys: SystemHandle):
-        """Deepest containment of each of COVER_SAMPLES points (seed 0);
-        a point is covered iff it is positive."""
-        P = sys.sample_block(np.random.default_rng(0), COVER_SAMPLES)
-        return np.max(self.depth(sys, P), axis=1)
-
     def validate(self, sys: SystemHandle):
-        uncovered = int(np.sum(self._deepest(sys) <= 0))
+        """Lebesgue estimate on COVER_SAMPLES points (seed 0): the least
+        deepest containment, so any smaller ball around any of them fits
+        inside some cover set. A point is covered iff its deepest containment
+        is positive; an uncovered one is a ValueError."""
+        P = sys.sample_block(np.random.default_rng(0), COVER_SAMPLES)
+        deepest = np.max(self.depth(sys, P), axis=1)
+        uncovered = int(np.sum(deepest <= 0))
         if uncovered:
             raise ValueError("%d of %d sampled points not covered"
                              % (uncovered, COVER_SAMPLES))
-        return True
-
-    def estimate_lebesgue(self, sys: SystemHandle):
-        """Min over sampled points of the deepest containment: any smaller ball
-        around any point fits inside some cover set."""
-        return float(np.min(self._deepest(sys)))
+        return float(np.min(deepest))
 
 
 @dataclass
@@ -288,9 +283,9 @@ def cover_complexity(sys: SystemHandle, cover: Cover, n,
     cover's Lebesgue number is known, the shadowing bound r(n, delta/2) is
     reported alongside.
     """
-    cover.validate(sys)
+    estimate = cover.validate(sys)
     delta = cover.lebesgue_delta
-    eps_ref = delta if delta is not None else cover.estimate_lebesgue(sys)
+    eps_ref = delta if delta is not None else estimate
     if eps_ref <= 0:
         raise ValueError("cover has nonpositive Lebesgue estimate")
     grid = system_grid(sys, n, eps_ref, budget)

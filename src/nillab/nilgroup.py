@@ -287,13 +287,17 @@ def load_group(path_or_name: str, validate=True) -> NilGroup:
     except (GroupLawError, ValueError):
         with open(path_or_name) as fh:
             doc = json.load(fh)
-        grp = NilGroup(
-            dim=int(doc["dimension"]),
-            step=int(doc["step"]),
-            mul_polys=[SparsePoly.from_json(p) for p in doc["mul_polys"]],
-            inv_polys=[SparsePoly.from_json(q) for q in doc["inv_polys"]],
-            name=str(doc.get("name", path_or_name)),
-        )
+        try:
+            grp = NilGroup(
+                dim=int(doc["dimension"]),
+                step=int(doc["step"]),
+                mul_polys=[SparsePoly.from_json(p) for p in doc["mul_polys"]],
+                inv_polys=[SparsePoly.from_json(q) for q in doc["inv_polys"]],
+                name=str(doc.get("name", path_or_name)),
+            )
+        except KeyError as exc:
+            raise GroupLawError("group law file %r lacks the field %s"
+                                % (path_or_name, exc)) from None
     if validate:
         report = validate_group(grp)
         if not report["ok"]:

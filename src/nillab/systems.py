@@ -247,6 +247,8 @@ def make_rotation(alpha) -> SystemHandle:
 
 def make_skew_product(alpha) -> SystemHandle:
     """T(x, y) = (x + alpha, y + x) on the 2-torus; the basic polynomial-orbit map."""
+    if not math.isfinite(alpha):
+        raise ValueError("skew product alpha must be finite, not %r" % alpha)
     alpha = float(alpha) % 1.0
 
     def orbit(X, lo, hi):
@@ -277,8 +279,8 @@ def make_nilsystem(group: NilGroup, tau,
     tau = element(group, np.asarray(tau, dtype=float)) if not hasattr(tau, "coords") else tau
     tau_inv = inv(tau)
     m = group.dim
-    # tau^0, tau^1, ... as far as any orbit has needed; cumsum prefixes are bit-equal
-    chunk_powers = power_sequence(tau, 1)
+    # tau^0 .. tau^ORBIT_CHUNK; a chunk reads a prefix, and cumsum prefixes are bit-equal
+    powers = power_sequence(tau, ORBIT_CHUNK + 1)
 
     def _reduce(P):
         return group.reduce_block(P)[0]
@@ -287,11 +289,7 @@ def make_nilsystem(group: NilGroup, tau,
         return dist_quotient_block(group, P, Q, metric_params)
 
     def orbit(X, lo, hi):
-        nonlocal chunk_powers
         count = hi - lo + 1
-        powers = chunk_powers           # kept whole if a concurrent call replaces it
-        if len(powers) <= min(count, ORBIT_CHUNK):
-            powers = chunk_powers = power_sequence(tau, min(count, ORBIT_CHUNK) + 1)
         out = np.empty((count,) + X.shape)
         base = np.asarray(X, dtype=float)
         if lo != 0:
@@ -348,6 +346,8 @@ def make_sturmian(alpha, L=16) -> SystemHandle:
     window of radius L around the anchor is recomputed from z on demand, so
     the shift is exact. The metric reads the coding window only out to |j|<=L.
     """
+    if L < 0:
+        raise ValueError("window half-length L must be >= 0, not %d" % L)
     alpha = float(alpha) % 1.0
     flags = ()
     if approx_rational(alpha) is not None:
@@ -416,8 +416,10 @@ def make_fullshift(k, L=8, reserve=128) -> SystemHandle:
     Orbit row t is T^t x on the stored range, with x read as 0 outside it;
     only compositions of steps that push symbols past the range lose them.
     """
-    if k < 2:
-        raise ValueError("alphabet size must be >= 2")
+    if not 2 <= k <= 128:               # int8 symbols hold 0..127
+        raise ValueError("alphabet size must be in 2..128, not %d" % k)
+    if L < 0 or reserve < 0:
+        raise ValueError("L and reserve must be >= 0, not %d and %d" % (L, reserve))
     half = L + reserve
     width = 2 * half + 1
     center = half

@@ -49,10 +49,14 @@ class Ball:
 
     def run(self):
         # the center row's stored symbols out to |j| <= w-1, or its own reach
-        row = np.asarray(self.center)
+        row = np.asarray(self.center, dtype=float)
         c = (len(row) - 1) // 2
         r = min(open_symbol_resolution(self.radius) - 1, c)
-        return (-r, np.array(row[c - r:c + r + 1], dtype=np.int8))
+        symbols = row[c - r:c + r + 1]
+        if not np.isin(symbols, np.arange(-128, 128)).all():
+            raise ValueError("ball centre %r holds a value that is no int8 symbol"
+                             % (self.center,))
+        return (-r, symbols.astype(np.int8))
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -256,20 +257,20 @@ def _data_rows(path):
     return [l for l in path.read_text().splitlines() if not l.startswith("#")]
 
 
-def test_threads_flag_before_subcommand(tmp_path):
-    # the value of --threads must not be taken for the subcommand
+def test_threads_flag_before_subcommand(tmp_path, capsys):
+    # the ladder runs on one thread: --threads is no option, and --config is the
+    # one option that goes before the subcommand
     ladder = ["ip-search", "--system", "sturmian:alpha=golden", "--targets",
               "cyl:0@0 cyl:1@0", "--m", "2", "--bound", "15", "--ladder",
               "--seed", "7", "--out"]
-    one, two = tmp_path / "one.csv", tmp_path / "two.csv"
-    assert run(["--threads", "1"] + ladder + [str(one)]) == 0
-    assert run(["--threads", "2"] + ladder + [str(two)]) == 0
-    assert two.read_bytes() == one.read_bytes()      # the header holds no thread count
+    lad = tmp_path / "ladder.csv"
+    assert run(["--threads", "2"] + ladder + [str(lad)]) == 64
+    assert capsys.readouterr().err.startswith("usage error: ") and not lad.exists()
 
     cfg = tmp_path / "exp.ini"
     cfg.write_text("[simulate]\nsystem = rotation:alpha=golden\nsteps = 7\n")
     out = tmp_path / "o.csv"
-    assert run(["--config", str(cfg), "--threads", "2", "simulate", "--start", "0",
+    assert run(["--config", str(cfg), "simulate", "--start", "0",
                 "--out", str(out)]) == 0
     assert len(_data_rows(out)) == 1 + 7
 
@@ -546,11 +547,81 @@ def _every_option(options):
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_header_holds_every_option_but_the_outputs(name):
     options = COMMANDS[name][3]
-    args = build_parser({}, name).parse_args(
-        ["--threads", "2", name] + _every_option(options))
+    args = build_parser({}, name).parse_args([name] + _every_option(options))
     header = resolved_config(args)
     # keys are argparse dests: --F stays F, --n-grid is n_grid
     want = {flag.lstrip("-").replace("-", "_") for flag, _ in options} - {"out", "out_json"}
     assert set(header) == want | {"command"}
-    assert "threads" not in header and "config" not in header
+    assert "config" not in header
 
+
+# README's Heisenberg law
+GROUP_LAW = {"dimension": 3, "step": 2,
+             "mul_polys": [[], [{"coeff": 1.0, "t_exps": [1, 0], "u_exps": [0, 1]}]],
+             "inv_polys": [[], [{"coeff": 1.0, "t_exps": [1, 1], "u_exps": []}]]}
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["validate-group", "--spec", "{tmp}/nope.json"], "nope.json"),
+    (["validate-group", "--spec", "{tmp}"], "Is a directory"),
+    (["simulate", "--system", "nilsystem:group={tmp}/nope.json,tau=0.1/0.2/0", "--out"],
+     "nope.json"),
+    (["simulate", "--system", "furstenberg:coeffs={tmp}/nope.csv", "--out"], "nope.csv"),
+    (["validate-group", "--spec", "{tmp}/no_dimension.json"], "'dimension'"),
+    (["validate-group", "--spec", "{tmp}/no_coeff.json"], "'coeff'"),
+    (["simulate", "--system", "furstenberg:coeffs={tmp}/no_nk.csv", "--out"], "n_k"),
+    (["simulate", "--system", "rotation:alpha=golden", "--out", "{tmp}/no/such/dir/o.csv"],
+     "o.csv"),
+], ids=["spec-missing", "spec-directory", "group-file-missing", "coeffs-missing",
+        "group-without-dimension", "term-without-coeff", "coeffs-without-n_k",
+        "out-in-missing-directory"])
+def test_a_file_that_cannot_be_read_or_written_is_a_config_error(tmp_path, argv, names,
+                                                                 capsys):
+    law = dict(GROUP_LAW)
+    del law["dimension"]
+    (tmp_path / "no_dimension.json").write_text(json.dumps(law))
+    law = dict(GROUP_LAW, mul_polys=[[], [{"t_exps": [1, 0], "u_exps": [0, 1]}]])
+    (tmp_path / "no_coeff.json").write_text(json.dumps(law))
+    (tmp_path / "no_nk.csv").write_text("k,n\n1,1\n")
+    out = tmp_path / "o.csv"
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    assert run(argv + ([str(out)] if argv[-1] == "--out" else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and names in err and not out.exists()
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["simulate", "--system", "skew:alpha=nan", "--steps", "3", "--out"], "finite"),
+    (["simulate", "--system", "skew:alpha=inf", "--steps", "3", "--out"], "finite"),
+    (["rp-test", "--system", "skew:alpha=nan", "--x", "0.2/0.1", "--y", "0.2/0.7",
+      "--seed", "0", "--out-json"], "finite"),
+    (["simulate", "--system", "sturmian:alpha=golden,L=-1", "--steps", "3", "--out"], "L"),
+    (["complexity", "--system", "fullshift:k=2,L=-1", "--eps", "0.3", "--n-grid", "1",
+      "--out"], "L"),
+    (["simulate", "--system", "fullshift:k=2,reserve=-1", "--start", "0", "--out"],
+     "reserve"),
+    (["simulate", "--system", "fullshift:k=129", "--start", "0", "--out"], "2..128"),
+    (["simulate", "--system", "fullshift:k=129", "--out"], "2..128"),
+    (["ind-check", "--system", "fullshift:k=2", "--targets",
+      "ball:0/1.5/0@0.3 ball:1/1/1@0.3", "--F", "0,1", "--seed", "0", "--out-json"],
+     "no int8 symbol"),
+], ids=["skew-alpha-nan", "skew-alpha-inf", "rp-skew-alpha-nan", "sturmian-L-negative",
+        "fullshift-L-negative", "fullshift-reserve-negative", "fullshift-k-129-start",
+        "fullshift-k-129", "ball-centre-not-integer"])
+def test_a_value_outside_the_systems_domain_is_a_config_error(tmp_path, argv, names,
+                                                              capsys):
+    out = tmp_path / "o.out"
+    assert run(argv + [str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and names in err and not out.exists()
+
+
+def test_readme_cli_examples_parse():
+    # every command of README's CLI block parses, and the block shows each subcommand
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("nillab ")]
+    assert {argv[1] for argv in commands} == set(COMMANDS)
+    for argv in commands:
+        assert build_parser({}, argv[1]).parse_args(argv[1:]).command == argv[1]

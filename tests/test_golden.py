@@ -3,12 +3,11 @@
 The files under tests/golden/ were written by the same commands; any change
 to an orbit, grid, net, witness or report format shows up here. Each header
 holds the command and every option of it that is set, but the output paths
-and the global --threads and --config; a change to the header rule re-records
-header lines only. heis.csv is
-not a criterion-10 file: it pins the Heisenberg nilsystem nets; the cube_*
-and ind_* files pin the constructive and scan cube searches and the
-constraints and arcs independence routes. f4.csv pins the nets of a step-3
-nilsystem on the group law in filiform4.json.
+and the global --config; a change to the header rule re-records header lines
+only. heis.csv is not a criterion-10 file: it pins the Heisenberg nilsystem
+nets; the cube_* and ind_* files pin the constructive and scan cube searches
+and the constraints and arcs independence routes. f4.csv pins the nets of a
+step-3 nilsystem on the group law in filiform4.json.
 """
 
 import shutil

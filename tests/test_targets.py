@@ -124,6 +124,13 @@ def test_ball_run_reads_the_center_row():
     assert CylinderUnion((((0,), 0),)).run() is None
 
 
+@pytest.mark.parametrize("center", [(0, 1.5, 0), (0, np.nan, 0), (0, 300, 0)])
+def test_ball_run_refuses_a_centre_that_is_no_symbol_row(center):
+    # int8 would read 1.5 as 1 and wrap 300: the run must not stand for another ball
+    with pytest.raises(ValueError, match="no int8 symbol"):
+        Ball(center, 0.3).run()
+
+
 def test_arcs_of_balls_and_cylinders():
     rot = make_rotation([GOLDEN])
     arcs = Ball((0.95,), 0.1).arcs(rot.coding).arcs
