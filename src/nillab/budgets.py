@@ -26,9 +26,9 @@ class SearchBudget:
     def __post_init__(self):
         divisors = self.grid_divisor if hasattr(self.grid_divisor, "__len__") \
             else (self.grid_divisor,)
-        if any(d <= 0 for d in divisors) or self.max_candidates <= 0 \
+        if any(not 0 < d < float("inf") for d in divisors) or self.max_candidates <= 0 \
                 or self.n_range <= 0 or self.max_cells <= 0:
-            raise ValueError("budget fields must be positive")
+            raise ValueError("budget fields must be positive and finite")
 
     def divisor_for(self, dim):
         if hasattr(self.grid_divisor, "__len__"):

@@ -64,7 +64,10 @@ class _Parser(argparse.ArgumentParser):
 def _num(token):
     if token == "golden":
         return GOLDEN
-    return float(token)
+    value = float(token)
+    if not math.isfinite(value):
+        raise ConfigError("%r is not a finite number" % token)
+    return value
 
 
 def parse_descriptor(text):
@@ -460,11 +463,15 @@ def main(argv=None):
         head = _global_options()
         head.add_argument("command", nargs="?")
         head.add_argument("rest", nargs=argparse.REMAINDER)
-        pre = head.parse_known_args(argv)[0]
+        pre, unknown = head.parse_known_args(argv)
         # a known subcommand is the one the full parse takes: only it needs options
         known = pre.command if pre.command in COMMANDS else None
         ap = build_parser(config_defaults(pre.config, known)
                           if pre.config is not None and known else {}, known)
+        # an unknown option before the subcommand would pass its value off as the subcommand
+        unknown = [a for a in unknown if a not in ("-h", "--help")]
+        if unknown:
+            ap.error("unrecognized arguments: %s" % " ".join(unknown))
         args = ap.parse_args(argv)
         if args.command is None:
             ap.error("missing subcommand")

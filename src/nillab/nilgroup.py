@@ -52,23 +52,20 @@ class NilGroup:
         self.mul_polys = tuple(mul_polys)
         self.inv_polys = tuple(inv_polys)
         self.name = name
-        # a one-hot right factor peels in `reduce_block`, a one-hot left
-        # factor lifts in `lattice_coords`
-        self._peels = tuple(tuple((k, p) for k, p in self._one_hot_plan(i, True) if k != i)
-                            for i in range(self.dim))
-        self._lifts = tuple(self._one_hot_plan(i, False) for i in range(self.dim))
+        # a one-hot right factor peels in `reduce_block`
+        self._peels = tuple(self._one_hot_plan(i) for i in range(self.dim))
 
-    def _one_hot_plan(self, i, is_u):
-        """(coordinate, polynomial) pairs: the terms of each mul polynomial
-        whose u factors (t factors if not is_u) all read index i. Each other
-        term multiplies a zero of a factor that is zero off index i, so
-        dropping it changes a finite sum by the sign of a zero at most, which
-        reaches no nonzero value and no reduced coordinate (x - floor(x))."""
+    def _one_hot_plan(self, i):
+        """(coordinate, polynomial) pairs for k != i: the terms of each mul
+        polynomial whose u factors all read index i. Each other term
+        multiplies a zero of a factor that is zero off index i, so dropping it
+        changes a finite sum by the sign of a zero at most, which reaches no
+        nonzero value and no reduced coordinate (x - floor(x))."""
         plan = []
         for k, p in enumerate(self.mul_polys, 1):
             kept = [term for term, (_, factors) in zip(p.terms, p.plan)
-                    if all(j == i for u_side, j, _ in factors if u_side == is_u)]
-            if kept:
+                    if all(j == i for u_side, j, _ in factors if u_side)]
+            if kept and k != i:
                 plan.append((k, SparsePoly(kept)))
         return tuple(plan)
 
@@ -101,7 +98,7 @@ class NilGroup:
         """Fundamental-domain part of each row: coordinates peeled into [0, 1).
 
         Returns (frac, n) with n the integer peeling exponents; the lattice
-        part is basis_power(n_m)···basis_power(n_1), see `lattice_part`.
+        part is basis_power(n_m)···basis_power(n_1), see `lattice_coords`.
         Peeling index i multiplies on the right by the row that is -n_i at i
         and zero elsewhere, so only the terms of `_one_hot_plan` move.
         """
@@ -123,16 +120,15 @@ class NilGroup:
         return f, ns
 
     def lattice_coords(self, ns):
-        """Coordinates of the lattice element produced by `reduce_block`:
-        the products e_i · gamma for the rows e_i that hold n_i at i and zero
-        elsewhere, so only the terms of `_one_hot_plan` move."""
-        e = np.asarray(ns, dtype=float)  # the plans read column i at step i only
-        gamma = np.zeros(e.shape)
+        """Coordinates of the lattice element produced by `reduce_block`: the
+        products e_i · gamma for the rows e_i that hold n_i at i and zero
+        elsewhere."""
+        ns = np.asarray(ns, dtype=float)
+        gamma = np.zeros(ns.shape)
         for i in range(self.dim):
-            incs = [(k, p(e, gamma)) for k, p in self._lifts[i]]
-            gamma[..., i] += e[..., i]
-            for k, inc in incs:
-                gamma[..., k] += inc
+            e = np.zeros(ns.shape)
+            e[..., i] = ns[..., i]
+            gamma = self.mul_block(e, gamma)
         return np.rint(gamma)
 
     def save_json(self, path):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nilgroup import GroupElement, NilGroup, element, factorize
+from .nilgroup import GroupElement, NilGroup, element
 
 
 class BudgetError(RuntimeError):
@@ -53,7 +53,7 @@ class MetricParams:
     max_cells: int = 200_000
 
     def __post_init__(self):
-        if self.gamma_bound is not None and self.gamma_bound < 1:
+        if self.gamma_bound is not None and not self.gamma_bound >= 1:   # NaN too
             raise ValueError("gamma_bound must be >= 1")
 
 
@@ -82,8 +82,8 @@ class QuotientPoint:
 
 def quotient_point(group: NilGroup, coords) -> QuotientPoint:
     """Reduce arbitrary coordinates to the canonical fundamental-domain rep."""
-    frac, _ = factorize(element(group, coords))
-    return QuotientPoint(frac)
+    frac, _ = group.reduce_block(element(group, coords).coords)
+    return QuotientPoint(element(group, frac))
 
 
 def dist_group(x: GroupElement, y: GroupElement) -> float:
@@ -202,17 +202,19 @@ def orbit_distance_growth(system, x: QuotientPoint, y: QuotientPoint, n_max: int
     """Ratios d(T^n x, T^n y) / d(x, y) for n = 1..n_max plus a log-log slope fit.
 
     Requires d(x, y) > 0. `system` must be a nilsystem handle produced by
-    `nillab.systems.make_nilsystem` (its points are reduced coordinate rows).
+    `nillab.systems.make_nilsystem` (its points are reduced coordinate rows,
+    and row 0 of an orbit is the point itself, so d(x, y) is entry 0).
     """
-    d0 = dist_quotient(x, y)
-    if d0 <= 0.0:
-        raise ValueError("base points coincide; growth ratio undefined")
-    grp = x.group
+    if x.group is not y.group:
+        raise ValueError("points from different groups")
     ox = system.orbit_block(x.coords, n_max + 1)
     oy = system.orbit_block(y.coords, n_max + 1)
-    dists = dist_quotient_block(grp, ox[1:], oy[1:])
+    dists = dist_quotient_block(x.group, ox, oy)
+    d0 = float(dists[0])
+    if d0 <= 0.0:
+        raise ValueError("base points coincide; growth ratio undefined")
     ns = np.arange(1, n_max + 1)
-    ratios = dists / d0
+    ratios = dists[1:] / d0
     good = ratios > 0
     slope = float(np.polyfit(np.log(ns[good]), np.log(ratios[good]), 1)[0])
     return {"n": ns, "ratio": ratios, "base_distance": d0, "loglog_slope": slope}

@@ -309,10 +309,11 @@ def make_nilsystem(group: NilGroup, tau,
 
     sample_block = _uniform_sampler(m)
     probe = sample_block(np.random.default_rng(0), 48)
+    i, j = np.triu_indices(48, 1)       # the metric is symmetric, and 0 on the diagonal
     return SystemHandle(
         name="nilsystem", kind="quotient",
         metric_block=metric_block, sample_block=sample_block, orbit=orbit,
-        diameter=float(np.max(metric_block(probe[:, None, :], probe[None, :, :]))),
+        diameter=float(np.max(metric_block(probe[i], probe[j]))),
         grid=_product_grid_hook(m),
     )
 

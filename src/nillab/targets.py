@@ -50,6 +50,9 @@ class Ball:
     def run(self):
         # the center row's stored symbols out to |j| <= w-1, or its own reach
         row = np.asarray(self.center, dtype=float)
+        if len(row) % 2 == 0:
+            raise ValueError("ball centre %r has no centre symbol: a centre row has odd "
+                             "length, offsets -L..L" % (self.center,))
         c = (len(row) - 1) // 2
         r = min(open_symbol_resolution(self.radius) - 1, c)
         symbols = row[c - r:c + r + 1]

@@ -357,6 +357,12 @@ def test_usage_errors_exit_64(tmp_path, monkeypatch, argv):
     assert not (tmp_path / "o.csv").exists()
 
 
+def test_an_unknown_option_before_the_subcommand_is_named(capsys):
+    assert run(["--bogus", "2", "simulate", "--system", "rotation:alpha=golden"]) == 64
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --bogus" in err and "invalid choice" not in err
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["-h", "simulate"]]
                          + [[name, "--help"] for name in COMMANDS])
 def test_help_is_the_full_parsers(capsys, argv):
@@ -605,9 +611,36 @@ def test_a_file_that_cannot_be_read_or_written_is_a_config_error(tmp_path, argv,
     (["ind-check", "--system", "fullshift:k=2", "--targets",
       "ball:0/1.5/0@0.3 ball:1/1/1@0.3", "--F", "0,1", "--seed", "0", "--out-json"],
      "no int8 symbol"),
+    (["simulate", "--system", "heisenberg", "--start", "0.1/nan/0.2", "--steps", "2", "--out"],
+     "finite"),
+    (["simulate", "--system", "skew:alpha=golden", "--start", "0.1/nan", "--out"], "finite"),
+    (["simulate", "--system", "rotation:alpha=golden", "--start", "inf", "--out"], "finite"),
+    (["simulate", "--system", "sturmian", "--start", "nan", "--out"], "finite"),
+    (["rp-test", "--system", "skew:alpha=golden", "--x", "0.1/nan", "--y", "0.2/0.7",
+      "--seed", "0", "--out-json"], "finite"),
+    (["simulate", "--system", "furstenberg:K=5,lam=nan", "--start", "0.1/0.2", "--out"],
+     "finite"),
+    (["simulate", "--system", "furstenberg:K=5,lam=inf", "--start", "0.1/0.2", "--out"],
+     "finite"),
+    (["simulate", "--system", "furstenberg:K=5", "--start", "nan/0.2", "--out"], "finite"),
+    (["simulate", "--system", "rotation:alpha=nan", "--out"], "finite"),
+    (["simulate", "--system", "sturmian:alpha=inf", "--out"], "finite"),
+    (["ind-check", "--system", "rotation:alpha=golden", "--targets",
+      "ball:0.1@inf ball:0.6@0.1", "--F", "0,1", "--seed", "0", "--out-json"], "finite"),
+    (["ind-check", "--system", "fullshift:k=2", "--targets", "ball:0/1@0.3 ball:1/1@0.3",
+      "--F", "0,1", "--seed", "0", "--out-json"], "no centre symbol"),
+    (["complexity", "--system", "rotation:alpha=golden", "--eps", "0.1", "--n-grid", "1",
+      "--grid-divisor", "inf", "--out"], "finite"),
+    (["complexity", "--system", "rotation:alpha=golden", "--eps", "0.1", "--n-grid", "1",
+      "--grid-divisor", "nan", "--out"], "finite"),
 ], ids=["skew-alpha-nan", "skew-alpha-inf", "rp-skew-alpha-nan", "sturmian-L-negative",
         "fullshift-L-negative", "fullshift-reserve-negative", "fullshift-k-129-start",
-        "fullshift-k-129", "ball-centre-not-integer"])
+        "fullshift-k-129", "ball-centre-not-integer", "heisenberg-start-nan",
+        "skew-start-nan", "rotation-start-inf", "sturmian-start-nan",
+        "rp-skew-x-nan", "furstenberg-lam-nan", "furstenberg-lam-inf",
+        "furstenberg-start-nan", "rotation-alpha-nan", "sturmian-alpha-inf",
+        "ball-radius-inf", "ball-centre-even-length", "grid-divisor-inf",
+        "grid-divisor-nan"])
 def test_a_value_outside_the_systems_domain_is_a_config_error(tmp_path, argv, names,
                                                               capsys):
     out = tmp_path / "o.out"

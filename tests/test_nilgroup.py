@@ -10,6 +10,7 @@ from nillab.nilgroup import (GroupLawError, NilGroup, abelian, element,
                              factorize, heisenberg3, identity, inv, load_group,
                              mul, named_group, power, power_sequence, psi_norm,
                              validate_group)
+from nillab.nilmetric import quotient_point
 from nillab.polynomials import SparsePoly, monomial
 
 
@@ -348,18 +349,6 @@ def mul_reduce(grp, t):
     return f, ns
 
 
-def mul_lattice_coords(grp, ns):
-    """Reference lattice lift: one full `mul_block` per index."""
-    ns = np.asarray(ns)
-    gamma = np.zeros(ns.shape)
-    e = np.zeros(ns.shape)
-    for i in range(grp.dim):
-        e[...] = 0.0
-        e[..., i] = ns[..., i]
-        gamma = grp.mul_block(e, gamma)
-    return np.rint(gamma)
-
-
 def peel_rows(m):
     rng = np.random.default_rng(29)
     edge = [0.0, -0.0, -1e-17, 3.0 - 1e-16, 1.0 - 1e-17, np.nan, np.inf, -np.inf]
@@ -384,6 +373,14 @@ def test_one_hot_peel_matches_the_mul_block_peel(grp):
             frac, ns = grp.reduce_block(x)
             want_frac, want_ns = mul_reduce(grp, x)
             assert same_bits(frac, want_frac) and np.array_equal(ns, want_ns)
-            assert same_bits(grp.lattice_coords(ns), mul_lattice_coords(grp, ns))
-        big = np.random.default_rng(31).integers(-10 ** 6, 10 ** 6, (100, grp.dim))
-        assert same_bits(grp.lattice_coords(big), mul_lattice_coords(grp, big))
+
+
+@pytest.mark.parametrize("grp", [
+    H, abelian(1), abelian(3),
+    load_group(str(Path(__file__).parent / "golden" / "filiform4.json")),
+], ids=lambda g: g.name)
+def test_quotient_point_is_the_factorize_fraction(grp):
+    # quotient_point reduces without the lattice lift; the fraction is the same
+    X = peel_rows(grp.dim)
+    for x in X[np.isfinite(X).all(axis=1)]:
+        assert same_bits(quotient_point(grp, x).coords, factorize(element(grp, x))[0].coords)

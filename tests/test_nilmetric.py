@@ -107,6 +107,12 @@ def test_orbit_growth_heisenberg_slope():
     assert 0.8 <= res["loglog_slope"] <= 2.2
 
 
+def test_metric_params_refuse_a_radius_below_one_or_nan():
+    for bound in (0.5, np.nan):
+        with pytest.raises(ValueError, match="gamma_bound"):
+            MetricParams(gamma_bound=bound)
+
+
 def test_orbit_growth_rejects_identical_points():
     C = abelian(1)
     sys = make_nilsystem(C, [GOLDEN])
@@ -229,3 +235,28 @@ def test_block_equals_row_by_row_calls():
     dist_quotient_block(H, P, Q, cap)
     with pytest.raises(BudgetError, match="needs 729 cells"):
         dist_quotient_block(H, np.vstack([P, [[1.5, 0.0, 0.0]]]), np.vstack([Q, Q[:1]]), cap)
+
+
+@pytest.mark.parametrize("group, params", [
+    (H, MetricParams()), (FILIFORM4, MetricParams()),
+    (FILIFORM4, MetricParams(gamma_bound=1)), (abelian(2), MetricParams()),
+], ids=["heisenberg3", "filiform4", "filiform4-gamma1", "abelian2"])
+def test_nilsystem_diameter_is_the_full_probe_maximum(group, params):
+    # the probe measures unordered pairs; the full matrix is its reference
+    sys = make_nilsystem(group, np.full(group.dim, GOLDEN), params)
+    probe = sys.sample_block(np.random.default_rng(0), 48)
+    assert sys.diameter == float(np.max(sys.metric_block(probe[:, None], probe[None, :])))
+
+
+def test_orbit_growth_base_distance_is_the_scalar_distance():
+    rng = np.random.default_rng(41)
+    for group in (H, FILIFORM4):
+        sys = make_nilsystem(group, rng.uniform(0, 1, group.dim))
+        for _ in range(10):
+            x = quotient_point(group, rng.uniform(0, 1, group.dim))
+            y = quotient_point(group, rng.uniform(0, 1, group.dim))
+            d0 = orbit_distance_growth(sys, x, y, 5)["base_distance"]
+            assert type(d0) is float and d0 == dist_quotient(x, y)
+    with pytest.raises(ValueError, match="different groups"):
+        orbit_distance_growth(sys, quotient_point(H, [0.1, 0.2, 0.3]),
+                              quotient_point(FILIFORM4, [0.1, 0.2, 0.3, 0.4]), 5)
