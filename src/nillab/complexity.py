@@ -104,8 +104,8 @@ def shadowing_net(sys: SystemHandle, n, epsilon, budget: SearchBudget = DEFAULT_
     elementwise comparisons `metric <= epsilon` as a full scan, so the net is
     the one the full scan builds.
     """
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:              # NaN too
+        raise ValueError("epsilon must be positive and finite")
     if grid is None:
         grid, exact = _grid(sys, n, epsilon, budget)
         if exact:
@@ -194,8 +194,8 @@ def complexity_curve(sys: SystemHandle, epsilon, n_values,
                      classify=True) -> ComplexityCurve:
     """r(n, epsilon) estimates over an n-grid, on one shared grid per horizon;
     with `classify`, a growth fit if the records admit one (`_unfit`)."""
-    if not epsilon > 0:                         # NaN too, before any grid is sized
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:              # NaN too, before any grid is sized
+        raise ValueError("epsilon must be positive and finite")
     n_values = sorted(set(int(n) for n in n_values))
     if not n_values or n_values[0] < 0:
         raise ValueError("the n-grid needs at least one horizon, and every n >= 0")

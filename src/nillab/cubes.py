@@ -172,8 +172,8 @@ def rp_test(sys: SystemHandle, x, y, d, delta, budget: SearchBudget = DEFAULT_BU
     """
     if d < 1:
         raise ValueError("order d must be >= 1")
-    if not delta > 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < np.inf:                  # NaN too
+        raise ValueError("delta must be positive and finite")
     x, y = np.asarray(x), np.asarray(y)
     rng = np.random.default_rng(budget.seed)
     nonempty = [eps for eps in vertex_set(d) if any(eps)]

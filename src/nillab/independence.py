@@ -162,24 +162,35 @@ def check_independence(sys: SystemHandle, sets: SetTuple, F,
     return _route_context(sys, sets, budget)["check"](F)
 
 
-def _pattern_report(k, budget, witness_on, exact, note, F):
+def _pattern_report(k, budget, walk_on, exact, note, F):
     """Report of a search over all k^|F| patterns (BudgetError past
-    `budget.max_cells`), one at a time: `witness_on(F)(pattern)` is a point
-    realizing the pattern, or None. The first 512 witnesses are kept; an
-    exact route's note states its certificate, a sampled route's note only
-    qualifies its failures."""
+    `budget.max_cells`, before any narrowing), walked depth-first as a prefix
+    tree in product order: `walk_on(F)` is (root, narrow, point), where
+    `narrow(state, t, s)` extends a prefix's state by symbol s at time F[t],
+    None once nothing realizes it, and `point(state)` is a full pattern's
+    witness. Each prefix is narrowed once; an unrealized one fails all its
+    completions. The walk keeps an explicit stack, not a recursive closure,
+    whose reference cycle would hold each call's states until a collection.
+    The first 512 witnesses are kept; an exact route's note states its
+    certificate, a sampled route's note only qualifies its failures."""
     n_patterns = k ** len(F)
     if n_patterns > budget.max_cells:
         raise BudgetError("pattern count %d overflows the budget%s" % (
             n_patterns, " for the non-partition arc route" if exact else ""))
-    witness = witness_on(F)
+    root, narrow, point = walk_on(F)
     witnesses, failures = {}, []
-    for pat in itertools.product(range(1, k + 1), repeat=len(F)):
-        z = witness(pat)
-        if z is None:
-            failures.append(pat)
-        elif len(witnesses) < 512:
-            witnesses[pat] = z
+    stack = [((), root)]                      # depth-first, children in product order
+    while stack:
+        prefix, state = stack.pop()
+        if state is None:
+            failures.extend(prefix + rest for rest in itertools.product(
+                range(1, k + 1), repeat=len(F) - len(prefix)))
+        elif len(prefix) == len(F):
+            if len(witnesses) < 512:
+                witnesses[prefix] = point(state)
+        else:
+            stack.extend(reversed([(prefix + (s,), narrow(state, len(prefix), s))
+                                   for s in range(1, k + 1)]))
     return IndependenceReport(
         F=F, verified=not failures, method="exact-language" if exact else "sampled",
         exact=exact, witnesses=witnesses, patterns_checked=n_patterns,
@@ -235,20 +246,16 @@ def _check_exact_partition(alpha, arcs, cuts, F):
 
 
 def _arc_witness(alpha, arcs, F):
-    """Per-pattern witness of the arc route: the midpoint of the first arc of
-    the pattern's intersection, whose emptiness is exact."""
+    """Prefix walk of the arc route: a prefix's state is the intersection of
+    its shifted arcs, whose emptiness is exact, and a pattern's witness is the
+    midpoint of its intersection's first arc."""
     shifted = {(j, i): a.shift(-j * alpha) for j in F for i, a in enumerate(arcs)}
 
-    def witness(pat):
-        inter = ArcUnion.full()
-        for j, s in zip(F, pat):
-            inter = inter.intersect(shifted[(j, s - 1)])
-            if inter.is_empty():
-                return None
-        lo, hi = inter.arcs[0]
-        return np.array([(lo + hi) / 2.0])
+    def narrow(inter, t, s):
+        inter = inter.intersect(shifted[(F[t], s - 1)])
+        return None if inter.is_empty() else inter
 
-    return witness
+    return ArcUnion.full(), narrow, lambda inter: np.array([sum(inter.arcs[0]) / 2.0])
 
 
 def _check_exact_constraints(sys, cons, k, F):
@@ -305,15 +312,16 @@ def _check_exact_constraints(sys, cons, k, F):
 
 
 def _sampled_witness(sys, targets, Z, F):
-    """Per-pattern witness of the sampled route: the first sampled point of Z
-    whose orbit visits the pattern's targets, read from one depth table."""
+    """Prefix walk of the sampled route: a prefix's state is the mask of the
+    sampled points of Z whose orbits visit its targets, read from one depth
+    table, and a pattern's witness is its first such point."""
     member = visits(sys, targets, Z, F, member=True)     # (k, len(Z), |F|)
 
-    def witness(pat):
-        rows = np.all(member[np.asarray(pat) - 1, :, np.arange(len(F))], axis=0)
-        return Z[int(np.argmax(rows))] if rows.any() else None
+    def narrow(mask, t, s):
+        mask = mask & member[s - 1, :, t]
+        return mask if mask.any() else None
 
-    return witness
+    return np.ones(len(Z), dtype=bool), narrow, lambda mask: Z[int(np.argmax(mask))]
 
 
 # -- IP independence search -----------------------------------------------------

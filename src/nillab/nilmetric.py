@@ -53,8 +53,8 @@ class MetricParams:
     max_cells: int = 200_000
 
     def __post_init__(self):
-        if self.gamma_bound is not None and not self.gamma_bound >= 1:   # NaN too
-            raise ValueError("gamma_bound must be >= 1")
+        if self.gamma_bound is not None and not 1 <= self.gamma_bound < np.inf:  # NaN too
+            raise ValueError("gamma_bound must be finite and >= 1")
 
 
 DEFAULT_PARAMS = MetricParams()

@@ -30,8 +30,8 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0:                 # NaN too
-            raise ValueError("ball radius must be positive, not %r" % self.radius)
+        if not 0 < self.radius < np.inf:        # NaN too
+            raise ValueError("ball radius must be positive and finite, not %r" % self.radius)
 
     def depth(self, sys, P):
         center = np.asarray(self.center)

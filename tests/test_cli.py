@@ -531,8 +531,16 @@ def test_rotation_cylinders_keep_their_exact_arcs_route(tmp_path):
      "--delta", "nan", "--seed", "0", "--out-json"],
     ["ind-check", "--system", "rotation:alpha=golden", "--targets",
      "ball:0.1@0.1 ball:0.5@0", "--F", "0,1", "--seed", "0", "--out-json"],
+    # argparse reads these flags as floats, so "inf" does not meet _num's check
+    ["complexity", "--system", "rotation:alpha=golden", "--eps", "inf", "--n-grid", "1",
+     "--out"],
+    ["cube-criterion", "--system", "skew:alpha=golden", "--x1", "0.1/0.1", "--x2",
+     "0.2/0.2", "--delta", "inf", "--seed", "0", "--out-json"],
+    ["rp-test", "--system", "skew:alpha=golden", "--x", "0.2/0.1", "--y", "0.2/0.7",
+     "--delta", "inf", "--seed", "0", "--out-json"],
 ], ids=["eps-zero", "eps-negative", "cube-delta-zero", "cube-delta-negative",
-        "cube-delta-nan", "rp-delta-nan", "ball-radius-zero"])
+        "cube-delta-nan", "rp-delta-nan", "ball-radius-zero", "eps-inf", "cube-delta-inf",
+        "rp-delta-inf"])
 def test_a_scale_that_is_not_positive_is_a_config_error(tmp_path, argv, capsys):
     out = tmp_path / "o.out"
     assert run(argv + [str(out)]) == 2

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from nillab import independence, targets
+from nillab.arcs import ArcUnion
 from nillab.budgets import SearchBudget
 from nillab.independence import (Ball, Cylinder, SetTuple, _route_context,
                                  check_independence, find_ip_independence, fs_set,
@@ -399,6 +400,133 @@ def test_pattern_enumeration_past_max_cells_is_a_budget_error():
                            % suffix):
             check_independence(sys, sets, (0, 1, 2, 3), tight)
         assert check_independence(sys, sets, (0, 1, 2), tight).patterns_checked == 8
+
+
+# -- the prefix walk of the arc and sampled routes against a per-pattern search --
+
+
+def _per_pattern_report(sys, sets, F, budget):
+    """The arc or sampled route searching each of the k^|F| patterns from
+    scratch, in product order: the oracle of the prefix walk."""
+    route, k = _route_context(sys, sets, budget)["route"], sets.k
+    if route == "arcs":
+        alpha, arcs = sys.coding.alpha, [t.arcs(sys.coding) for t in sets.targets]
+        shifted = {(j, i): a.shift(-j * alpha) for j in F for i, a in enumerate(arcs)}
+
+        def witness(pat):
+            inter = ArcUnion.full()
+            for j, s in zip(F, pat):
+                inter = inter.intersect(shifted[(j, s - 1)])
+                if inter.is_empty():
+                    return None
+            lo, hi = inter.arcs[0]
+            return np.array([(lo + hi) / 2.0])
+        note = "arc-intersection emptiness is exact"
+    else:
+        assert route == "sampled"
+        Z = sys.sample_block(np.random.default_rng(budget.seed), budget.max_candidates)
+        member = targets.visits(sys, sets.targets, Z, F, member=True)
+
+        def witness(pat):
+            rows = np.all(member[np.asarray(pat) - 1, :, np.arange(len(F))], axis=0)
+            return Z[int(np.argmax(rows))] if rows.any() else None
+        note = "unrealized patterns are budget-exhausted, not refuted"
+    witnesses, failures = {}, []
+    for pat in itertools.product(range(1, k + 1), repeat=len(F)):
+        z = witness(pat)
+        if z is None:
+            failures.append(pat)
+        elif len(witnesses) < 512:
+            witnesses[pat] = z
+    return {"verified": not failures, "failures": failures,
+            "witnesses": [(pat, z.tobytes()) for pat, z in witnesses.items()],
+            "realized_patterns": k ** len(F) - len(failures),
+            "patterns_checked": k ** len(F), "note": note if route == "arcs" or failures else ""}
+
+
+def _walk_fields(rep):
+    # witness values as bytes: bit-equal, in the order they were kept
+    return {"verified": rep.verified, "failures": rep.failures,
+            "witnesses": [(pat, z.tobytes()) for pat, z in rep.witnesses.items()],
+            "realized_patterns": rep.realized_patterns,
+            "patterns_checked": rep.patterns_checked, "note": rep.note}
+
+
+# the time sets {0} u FS(g) of perfbench's ip-scan `rotation.arcs` ops
+ARC_FS = [(0,) + fs_set(g).elements for g in (
+    (1, 2), (1, 3, 5), (2, 3, 7), (1, 4, 6), (2, 5, 9), (3, 4, 8), (1, 5, 7), (2, 6, 11),
+    (3, 5, 10), (1, 6, 8), (4, 5, 9))]
+ROT = make_rotation([GOLDEN])
+TWO_ARCS = SetTuple((Ball((0.35,), 0.3), Ball((0.6,), 0.3)))
+# three overlapping arcs: at most 84 of the 6,561 patterns on eight times are
+# realized, so most prefixes die before their full length
+THREE_ARCS = SetTuple((Ball((0.1,), 0.2), Ball((0.35,), 0.2), Ball((0.6,), 0.2)))
+SKEW_BALLS = SetTuple((Ball((0.25, 0.25), 0.3), Ball((0.75, 0.75), 0.3)))
+WALK_CASES = {
+    "two-arcs": [(ROT, TWO_ARCS, F, SearchBudget()) for F in ARC_FS],
+    # 880 of 1,024 patterns realized, more than the 512 witnesses kept
+    "two-wide-arcs": [(ROT, SetTuple((Ball((0.0,), 0.4), Ball((0.5,), 0.4))),
+                       tuple(range(10)), SearchBudget())],
+    "three-arcs": [(ROT, THREE_ARCS, F, SearchBudget()) for F in ARC_FS[:4]],
+    "skew-balls": [(make_skew_product(GOLDEN), sets, F,
+                    SearchBudget(max_candidates=400, seed=0))
+                   for sets in (SKEW_BALLS, SetTuple((Ball((0.2, 0.1), 0.05),
+                                                     Ball((0.2, 0.7), 0.05))))
+                   for F in ((0, 1), (0, 1, 2, 3), (0, 2, 3, 5))],
+    "heisenberg3": [(make_nilsystem(heisenberg3(), [GOLDEN, np.sqrt(2.0) / 2.0, 0.0]),
+                     SetTuple((Ball((0.25,) * 3, 0.3), Ball((0.75,) * 3, 0.3))), F,
+                     SearchBudget(max_candidates=100, seed=0))
+                    for F in ((0, 1, 3), (0, 1, 2, 3))],
+}
+
+
+@pytest.mark.parametrize("case", sorted(WALK_CASES))
+def test_prefix_walk_matches_the_per_pattern_search(case):
+    realized = failed = 0
+    for sys, sets, F, budget in WALK_CASES[case]:
+        got = _walk_fields(check_independence(sys, sets, F, budget))
+        assert got == _per_pattern_report(sys, sets, F, budget), F
+        realized += got["realized_patterns"]
+        failed += len(got["failures"])
+    # each case realizes some patterns and refutes or misses others
+    assert realized and failed
+
+
+def _counted_intersect(monkeypatch):
+    calls, intersect = [0], ArcUnion.intersect
+
+    def counted(self, other):
+        calls[0] += 1
+        return intersect(self, other)
+
+    monkeypatch.setattr(ArcUnion, "intersect", counted)
+    return calls
+
+
+@pytest.mark.parametrize("sets", [TWO_ARCS, THREE_ARCS], ids=["two-arcs", "three-arcs"])
+def test_arc_route_narrows_each_prefix_once(monkeypatch, sets):
+    # the partition test of the route context intersects arc pairs: build it first
+    check = _route_context(ROT, sets)["check"]
+    calls = _counted_intersect(monkeypatch)
+    for F in ARC_FS:
+        calls[0] = 0
+        rep = check(F)
+        assert rep.patterns_checked == sets.k ** len(F)
+        # at most one intersection per node of the prefix tree
+        assert calls[0] <= sum(sets.k ** t for t in range(1, len(F) + 1)), F
+
+
+def test_pattern_count_past_max_cells_is_refused_before_any_narrowing(monkeypatch):
+    tight = SearchBudget(max_cells=10, max_candidates=50)
+    skew = make_skew_product(GOLDEN)
+    arc_check = _route_context(ROT, TWO_ARCS, tight)["check"]
+    sampled_check = _route_context(skew, SKEW_BALLS, tight)["check"]
+    calls, tables = _counted_intersect(monkeypatch), []
+    monkeypatch.setattr(independence, "visits", lambda *a, **kw: tables.append(a))
+    for check in (arc_check, sampled_check):
+        with pytest.raises(BudgetError, match="^pattern count 16 overflows"):
+            check((0, 1, 2, 3))
+    assert calls == [0] and tables == []
 
 
 def _constraints_report_pairwise(sys, cons, F, k):

@@ -108,7 +108,8 @@ def test_orbit_growth_heisenberg_slope():
 
 
 def test_metric_params_refuse_a_radius_below_one_or_nan():
-    for bound in (0.5, np.nan):
+    # an infinite radius would size no lattice box: int(ceil(inf)) overflows
+    for bound in (0.5, np.nan, np.inf):
         with pytest.raises(ValueError, match="gamma_bound"):
             MetricParams(gamma_bound=bound)
 
