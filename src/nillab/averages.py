@@ -44,8 +44,9 @@ def geometric_grid(n_max):
 def birkhoff(sys: SystemHandle, f, x, n_grid=None, n_max=None) -> AverageTrace:
     """Partial averages (1/N) sum_{i<N} f(T^i x) at each N in the grid.
 
-    One orbit pass in blocks of ORBIT_BLOCK steps; the telescoping identity
-    (N+1) A_{N+1} - N A_N = f(T^N x) holds by construction.
+    One orbit pass in blocks of ORBIT_BLOCK steps, holding one block at a
+    time; the telescoping identity (N+1) A_{N+1} - N A_N = f(T^N x) holds by
+    construction.
     """
     if n_grid is None:
         if n_max is None:
@@ -64,13 +65,14 @@ def birkhoff(sys: SystemHandle, f, x, n_grid=None, n_max=None) -> AverageTrace:
     while done < top:
         count = min(ORBIT_BLOCK, top - done)
         block = sys.orbit_block(current, count + 1)
-        vals = np.asarray(f(block[:count]), dtype=float)
-        csum = np.cumsum(vals)
+        csum = np.cumsum(np.asarray(f(block[:count]), dtype=float))
+        # a copy, not a view: the block is freed before the next one is made
+        current = block[count].copy()
+        del block
         while next_mark is not None and next_mark <= done + count:
             averages.append((total + csum[next_mark - done - 1]) / next_mark)
             next_mark = next(grid_iter, None)
         total += csum[-1]
-        current = block[count]
         done += count
     tail_from = max(1, top // 10)
     tail = [a for n, a in zip(n_grid, averages) if n >= tail_from]

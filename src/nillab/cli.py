@@ -23,6 +23,7 @@ import argparse
 import configparser
 import csv as _csv
 import math
+import re
 import sys
 import time
 
@@ -447,6 +448,9 @@ def build_parser(defaults, command=None):
     sub = ap.add_subparsers(dest="command")
     for name, (_, help_, _, options) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_)
+        # argparse takes a token that starts with '-' for an option unless it is a plain
+        # negative number; any such token naming no option is a value, as in `--start=-0.1`
+        sp._negative_number_matcher = re.compile(r"^-[^-]")
         if command not in (None, name):
             continue
         for flag, kw in options:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .budgets import DEFAULT_BUDGET, SearchBudget
 from .systems import SystemHandle, cell_count, cell_index
-from .targets import Ball, visits
+from .targets import Ball, scan_chunk, visits
 
 
 def vertex_set(d):
@@ -359,12 +359,18 @@ def _cube_scan(sys, balls, d, budget):
     zs = zs[:budget.max_candidates]
     verts = vertex_set(d)
     spiral, span, idx = _spiral_index(budget, d, verts)
-    # near[which - 1, z, t + span]: T^t zs[z] in ball `which`, t in [-span, span]
-    near = visits(sys, [balls[1], balls[2]], zs, range(-span, span + 1), member=True)
+    step = scan_chunk(2 * span + 1)
+    # chunks[c][which - 1, z, t + span]: T^t zs[c * step + z] in ball `which`,
+    # t in [-span, span]; each chunk of base points is built when find first reaches it
+    chunks = []
 
     def find(assignment):
         for zi, z in enumerate(zs):
-            s = _first_hit([near[assignment[eps] - 1, zi] for eps in verts], idx)
+            if zi == len(chunks) * step:
+                chunks.append(visits(sys, [balls[1], balls[2]], zs[zi:zi + step],
+                                     range(-span, span + 1), member=True))
+            near = chunks[zi // step][:, zi % step]
+            s = _first_hit([near[assignment[eps] - 1] for eps in verts], idx)
             if s is not None:
                 return z, tuple(int(v) for v in spiral[s])
         return None

@@ -33,6 +33,10 @@ from .systems import SystemHandle, _times, wrap_dist_block
 
 TWO_PI = 2.0 * math.pi
 
+# points (orbit rows times start points) per chunk of a Furstenberg orbit's phase
+# and cosine tables; unlike a nilsystem's ORBIT_CHUNK it changes no value
+PHASE_CHUNK = 4096
+
 
 def _ratio_pair(x):
     """(numerator, denominator) of a float or Fraction, without normalizing."""
@@ -45,13 +49,15 @@ _PHASE_BITS = 64
 
 
 def _phase_float(r, den):
-    """The phase r/den, for a residue 0 <= r < den, rounded to 64 bits.
+    """The phases r/den, for object-dtype integer residues 0 <= r < den, each
+    rounded once to 64 bits.
 
     Fraction arithmetic would gcd-normalize, which is quadratic-cost for the
     megabit denominators of the resonant recipe; a residue (n * num) % den
-    plus one shifted integer division avoids every gcd.
+    plus one shifted integer division avoids every gcd. The float conversion
+    is the one rounding; the power-of-two scale is exact.
     """
-    return math.ldexp((r << _PHASE_BITS) // den, -_PHASE_BITS)
+    return ((r << _PHASE_BITS) // den).astype(float) * 2.0 ** -_PHASE_BITS
 
 
 def _distinct(freqs):
@@ -64,7 +70,7 @@ def _exact_phases(theta, freqs):
     """frac(n * theta) for every frequency, exactly, once per distinct value."""
     t_num, t_den = _ratio_pair(theta)
     distinct, where = _distinct(freqs)
-    return np.array([_phase_float((n * t_num) % t_den, t_den) for n in distinct])[where]
+    return _phase_float(np.array(distinct, dtype=object) * t_num % t_den, t_den)[where]
 
 
 def _harmonics(alpha, coeffs):
@@ -117,10 +123,15 @@ def make_furstenberg(alpha, coeffs, lam=1.0) -> SystemHandle:
         # equal rotation and start phases in every row: equal columns, advanced once
         keys = np.column_stack([rotations, X[..., 2:].reshape(X[..., 0].size, len(freqs)).T])
         _, first, back = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-        phases = (X[..., 2 + first] + n[..., None] * rotations[first]) % 1.0
-        np.take(phases, back, axis=-1, mode="clip", out=out[..., 2:])
-        # without harmonics both sums are 0 and the fiber stays put
-        out[..., 1] = (X[..., 1] + lam * (H(phases, back) - H(X[..., 2 + first], back))) % 1.0
+        start, rotation = X[..., 2 + first], rotations[first]
+        H0 = H(start, back)
+        # chunks of about PHASE_CHUNK points bound every table but `out`
+        rows = max(1, PHASE_CHUNK // max(1, X[..., 0].size))
+        for a in range(0, len(n), rows):
+            phases = (start + n[a:a + rows, ..., None] * rotation) % 1.0
+            out[a:a + rows, ..., 2:] = phases[..., back]
+            # without harmonics both sums are 0 and the fiber stays put
+            out[a:a + rows, ..., 1] = (X[..., 1] + lam * (H(phases, back) - H0)) % 1.0
         return out
 
     def make_point(*thetas):
@@ -167,20 +178,20 @@ def coboundary_prefix_residuals(alpha, coeffs, grid=1000):
     freqs, weights, rotations = _harmonics(alpha, coeffs)
     a_num, a_den = _ratio_pair(alpha)
     distinct, where = _distinct(freqs)
-    r_alpha = [(n * a_num) % a_den for n in distinct]
-    worst = np.zeros(len(freqs))
-    for theta in np.arange(grid) / float(grid):
-        t_num, t_den = _ratio_pair(theta)
-        den = t_den * a_den
-        r_theta = [(n * t_num) % t_den for n in distinct]
-        phis = np.array([_phase_float(r, t_den) for r in r_theta])[where]
-        phis_next = np.array([_phase_float((a_den * rt + t_den * ra) % den, den)
-                              for rt, ra in zip(r_theta, r_alpha)])[where]
-        h_terms = weights * _cocycle_terms(phis, rotations)
-        dH_terms = weights * (np.cos(TWO_PI * phis_next) - np.cos(TWO_PI * phis))
-        resid = np.abs(np.cumsum(h_terms - dH_terms))
-        worst = np.maximum(worst, resid)
-    return worst
+    thetas = [_ratio_pair(t) for t in np.arange(grid) / float(grid)]
+    t_num, t_den = np.array(thetas, dtype=object).reshape(grid, 2).T
+    den = t_den * a_den
+    # one row per theta of the grid, one column per distinct frequency; the
+    # residues are made a column at a time, which bounds the integer objects
+    phis, phis_next = np.empty((2, grid, len(distinct)))
+    for j, n in enumerate(distinct):
+        r_theta, r_alpha = n * t_num % t_den, n * a_num % a_den
+        phis[:, j] = _phase_float(r_theta, t_den)
+        phis_next[:, j] = _phase_float((a_den * r_theta + t_den * r_alpha) % den, den)
+    phis, phis_next = phis[:, where], phis_next[:, where]
+    h_terms = weights * _cocycle_terms(phis, rotations)
+    dH_terms = weights * (np.cos(TWO_PI * phis_next) - np.cos(TWO_PI * phis))
+    return np.abs(np.cumsum(h_terms - dH_terms, axis=1)).max(axis=0, initial=0.0)
 
 
 # -- resonant frequency recipe ----------------------------------------------

@@ -120,6 +120,11 @@ class Cylinder:
 SCAN_ROWS = 1 << 14
 
 
+def scan_chunk(rows):
+    """Points of Z per chunk of `visits` over orbit spans of that many rows."""
+    return max(1, SCAN_ROWS // rows)
+
+
 def visits(sys, targets, Z, times, *, member):
     """Table D[i, z, j] of T^times[j] Z[z] in targets[i], for increasing
     times: its depth, or with member=True whether it is a member (depth > 0)
@@ -134,7 +139,7 @@ def visits(sys, targets, Z, times, *, member):
     if (np.diff(rows) == 1).all():
         rows = slice(int(rows[0]), int(rows[-1]) + 1)       # contiguous: a view
     out = np.empty((len(targets), len(Z), len(times)), dtype=bool if member else float)
-    step = max(1, SCAN_ROWS // (hi - lo + 1))
+    step = scan_chunk(hi - lo + 1)
     for a in range(0, len(Z), step):
         orbit = sys.orbit_span(Z[a:a + step], lo, hi)[rows]    # (times, chunk, d)
         for i, target in enumerate(targets):

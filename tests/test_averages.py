@@ -1,6 +1,7 @@
 """Birkhoff traces, ergodicity probe, oscillation statistics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,3 +126,17 @@ def test_furstenberg_oscillation_contrast():
     tr = birkhoff(fu, coordinate_cos(1), furstenberg_point(fu, 0.15, 0.35),
                   n_max=2 ** 17)
     assert oscillation_contrast(tr, base) >= 5.0
+
+
+def test_birkhoff_holds_one_orbit_block_at_a_time():
+    # four Furstenberg blocks of 65,537 rows, 16 MiB each: the previous block
+    # is freed before the next one is made
+    fu = make_default_furstenberg(K=30, lam=1.0)
+    x = furstenberg_point(fu, 0.15, 0.35)
+    tracemalloc.start()
+    try:
+        birkhoff(fu, coordinate_cos(1), x, n_max=2 ** 18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2 ** 20

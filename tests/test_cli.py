@@ -538,13 +538,32 @@ def test_rotation_cylinders_keep_their_exact_arcs_route(tmp_path):
      "0.2/0.2", "--delta", "inf", "--seed", "0", "--out-json"],
     ["rp-test", "--system", "skew:alpha=golden", "--x", "0.2/0.1", "--y", "0.2/0.7",
      "--delta", "inf", "--seed", "0", "--out-json"],
+    # values that start with '-' but are not plain negative numbers
+    ["complexity", "--system", "rotation:alpha=golden", "--eps", "-inf", "--n-grid", "1",
+     "--out"],
+    ["rp-test", "--system", "skew:alpha=golden", "--x", "0.2/0.1", "--y", "0.2/0.7",
+     "--delta", "-nan", "--seed", "0", "--out-json"],
 ], ids=["eps-zero", "eps-negative", "cube-delta-zero", "cube-delta-negative",
         "cube-delta-nan", "rp-delta-nan", "ball-radius-zero", "eps-inf", "cube-delta-inf",
-        "rp-delta-inf"])
+        "rp-delta-inf", "eps-minus-inf", "rp-delta-minus-nan"])
 def test_a_scale_that_is_not_positive_is_a_config_error(tmp_path, argv, capsys):
     out = tmp_path / "o.out"
     assert run(argv + [str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error: ") and not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["simulate", "--system", "skew:alpha=golden", "--steps", "3", "--out"],
+     "--start", "-0.1/0.2"),
+    (["rp-test", "--system", "skew:alpha=golden", "--y", "0.3/0.4", "--delta", "0.05",
+      "--seed", "0", "--out-json"], "--x", "-0.1/0.2"),
+], ids=["simulate-start", "rp-test-x"])
+def test_a_value_that_starts_with_a_dash_parses_as_in_the_equals_form(tmp_path, argv,
+                                                                      flag, value):
+    split, joined = tmp_path / "split.out", tmp_path / "joined.out"
+    assert run(argv[:1] + [flag, value] + argv[1:] + [str(split)]) == 0
+    assert run(argv[:1] + ["%s=%s" % (flag, value)] + argv[1:] + [str(joined)]) == 0
+    assert split.read_bytes() == joined.read_bytes()
 
 
 def _every_option(options):

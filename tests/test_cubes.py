@@ -304,8 +304,29 @@ def test_cube_scan_matches_one_call_per_point(monkeypatch, case, scan_rows):
 
     monkeypatch.setattr(cubes, "visits", oracle)
     want = cube_criterion(sys, x1, x2, d, delta, budget)
-    assert scans == [budget.max_candidates] and got == want
+    # one visits call per chunk of base points, in pool order; a pattern that
+    # fails walks the whole pool
+    assert all(k == scans[0] for k in scans[:-1]) and got == want
+    assert sum(scans) <= budget.max_candidates
+    if n_failures:
+        assert sum(scans) == budget.max_candidates
     assert len(got["failures"]) == n_failures
+
+
+def test_cube_scan_builds_its_table_as_find_reaches_base_points(monkeypatch):
+    # every pattern is realized within the first two chunks of 81 base points
+    # (times -100..100), so the table never holds the other 838 base points
+    skew = make_skew_product(GOLDEN)
+    scans = []
+
+    def counted(sys_, balls, zs, times, member):
+        scans.append(len(zs))
+        return targets.visits(sys_, balls, zs, times, member=member)
+
+    monkeypatch.setattr(cubes, "visits", counted)
+    rep = cube_criterion(skew, np.array([0.2, 0.7]), np.array([0.6, 0.1]), 1, 0.05,
+                         SearchBudget(seed=0))
+    assert rep["all_realized"] and scans == [81, 81]
 
 
 def test_cube_scan_holds_a_membership_table():

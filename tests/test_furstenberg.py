@@ -1,15 +1,17 @@
 """Skew-product cocycle series: transfer identity, recipe resonances, dynamics."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from nillab.furstenberg import (TWO_PI, _cocycle_terms, _exact_phases, _harmonics,
-                                _ratio_pair, coboundary_prefix_residuals,
+from nillab.furstenberg import (PHASE_CHUNK, TWO_PI, _cocycle_terms, _exact_phases,
+                                _harmonics, _ratio_pair, coboundary_prefix_residuals,
                                 coboundary_residual, furstenberg_point, liouville_recipe,
-                                make_furstenberg, validate_resonances)
+                                make_default_furstenberg, make_furstenberg,
+                                validate_resonances)
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -226,7 +228,8 @@ def orbit_starts(sys, coeffs):
 
 @pytest.mark.parametrize("alpha, coeffs", [(GOLDEN, CUSTOM), liouville_recipe(K=30),
                                            (GOLDEN, [])])
-@pytest.mark.parametrize("lo, hi", [(0, 0), (0, 5000), (-300, 250), (7, 9)])
+# (-5000, 9000): a point's span crosses three chunk boundaries, a block's many
+@pytest.mark.parametrize("lo, hi", [(0, 0), (0, 5000), (-300, 250), (7, 9), (-5000, 9000)])
 def test_orbit_matches_the_per_harmonic_loop(alpha, coeffs, lo, hi):
     sys = make_furstenberg(alpha, coeffs, lam=0.7)
     for X in orbit_starts(sys, coeffs):
@@ -250,3 +253,18 @@ def test_make_point_rejects_a_wrong_coordinate_count():
     for thetas in ((0.1,), (0.1, 0.2, 0.3)):
         with pytest.raises(ValueError, match="theta1/theta2"):
             sys.make_point(*thetas)
+
+
+def test_orbit_block_peaks_near_its_result():
+    # the phase and cosine tables are built one chunk of rows at a time, so a
+    # 65,537-step block (16 MiB) needs little beyond itself
+    assert 65537 > 2 * PHASE_CHUNK
+    sys = make_default_furstenberg(K=30)
+    x = sys.make_point(0.15, 0.35)
+    tracemalloc.start()
+    try:
+        block = sys.orbit_block(x, 65537)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * block.nbytes
