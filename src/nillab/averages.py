@@ -1,7 +1,7 @@
 """Birkhoff averages on a geometric time grid, plus two experiment harnesses:
 an empirical unique-ergodicity probe and tail-oscillation statistics.
 
-Averages are single-pass streaming sums over orbit blocks; observables are
+Averages are single-pass streaming sums over the orbit's chunks; observables are
 vectorized callables on point blocks. Oscillation is the max gap between
 partial averages over the tail of the N-grid (default: N >= N_max / 10),
 which exposes non-Cauchy behavior without storing whole traces.
@@ -14,9 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .systems import SystemHandle
-
-# orbit steps per block of a Birkhoff pass
-ORBIT_BLOCK = 65536
 
 
 @dataclass
@@ -44,8 +41,10 @@ def geometric_grid(n_max):
 def birkhoff(sys: SystemHandle, f, x, n_grid=None, n_max=None) -> AverageTrace:
     """Partial averages (1/N) sum_{i<N} f(T^i x) at each N in the grid.
 
-    One orbit pass in blocks of ORBIT_BLOCK steps, holding one block at a
-    time; the telescoping identity (N+1) A_{N+1} - N A_N = f(T^N x) holds by
+    One pass over the chunks of the rows of orbit_block(x, N_max), holding
+    one chunk at a time. N A_N is one sequential running sum of f along
+    those rows, so where the chunks split changes no bit, and the
+    telescoping identity (N+1) A_{N+1} - N A_N = f(T^N x) holds by
     construction.
     """
     if n_grid is None:
@@ -53,27 +52,17 @@ def birkhoff(sys: SystemHandle, f, x, n_grid=None, n_max=None) -> AverageTrace:
             raise ValueError("pass n_grid or n_max")
         n_grid = geometric_grid(n_max)
     n_grid = [int(n) for n in n_grid]
-    if any(b <= a for a, b in zip(n_grid, n_grid[1:])) or n_grid[0] < 1:
+    if not n_grid or n_grid[0] < 1 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("n_grid must be strictly increasing and positive")
-    top = n_grid[-1]
-    averages = []
-    total = 0.0
-    done = 0
-    grid_iter = iter(n_grid)
-    next_mark = next(grid_iter)
-    current = np.asarray(x)
-    while done < top:
-        count = min(ORBIT_BLOCK, top - done)
-        block = sys.orbit_block(current, count + 1)
-        csum = np.cumsum(np.asarray(f(block[:count]), dtype=float))
-        # a copy, not a view: the block is freed before the next one is made
-        current = block[count].copy()
-        del block
-        while next_mark is not None and next_mark <= done + count:
-            averages.append((total + csum[next_mark - done - 1]) / next_mark)
-            next_mark = next(grid_iter, None)
-        total += csum[-1]
-        done += count
+    top, marks = n_grid[-1], np.array(n_grid)
+    sums, total, done = [], 0.0, 0
+    for chunk in sys.orbit(np.asarray(x), 0, top - 1):
+        values = np.array(f(chunk), dtype=float)    # a copy: f may hand back its input
+        values[0] += total                          # so the cumsum continues the last one
+        csum = np.cumsum(values)
+        sums.extend(csum[marks[(marks > done) & (marks <= done + len(csum))] - done - 1])
+        done, total = done + len(csum), csum[-1]
+    averages = [s / n for s, n in zip(sums, n_grid)]
     tail_from = max(1, top // 10)
     tail = [a for n, a in zip(n_grid, averages) if n >= tail_from]
     osc = float(max(tail) - min(tail)) if len(tail) >= 2 else 0.0

@@ -29,13 +29,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .systems import SystemHandle, _times, wrap_dist_block
+from .systems import SystemHandle, _chunked, _times, wrap_dist_block
 
 TWO_PI = 2.0 * math.pi
-
-# points (orbit rows times start points) per chunk of a Furstenberg orbit's phase
-# and cosine tables; unlike a nilsystem's ORBIT_CHUNK it changes no value
-PHASE_CHUNK = 4096
 
 
 def _ratio_pair(x):
@@ -115,6 +111,7 @@ def make_furstenberg(alpha, coeffs, lam=1.0) -> SystemHandle:
         cosines = np.take(np.cos(TWO_PI * phases), back, axis=-1)
         return np.einsum("...k,k->...", cosines, weights)
 
+    @_chunked
     def orbit(X, lo, hi):
         # fiber telescopes: theta2(n) = theta2 + lam * (H(phases_n) - H(phases_0))
         n = _times(lo, hi, X.ndim - 1)
@@ -124,14 +121,10 @@ def make_furstenberg(alpha, coeffs, lam=1.0) -> SystemHandle:
         keys = np.column_stack([rotations, X[..., 2:].reshape(X[..., 0].size, len(freqs)).T])
         _, first, back = np.unique(keys, axis=0, return_index=True, return_inverse=True)
         start, rotation = X[..., 2 + first], rotations[first]
-        H0 = H(start, back)
-        # chunks of about PHASE_CHUNK points bound every table but `out`
-        rows = max(1, PHASE_CHUNK // max(1, X[..., 0].size))
-        for a in range(0, len(n), rows):
-            phases = (start + n[a:a + rows, ..., None] * rotation) % 1.0
-            out[a:a + rows, ..., 2:] = phases[..., back]
-            # without harmonics both sums are 0 and the fiber stays put
-            out[a:a + rows, ..., 1] = (X[..., 1] + lam * (H(phases, back) - H0)) % 1.0
+        phases = (start + n[..., None] * rotation) % 1.0
+        out[..., 2:] = phases[..., back]
+        # without harmonics both sums are 0 and the fiber stays put
+        out[..., 1] = (X[..., 1] + lam * (H(phases, back) - H(start, back))) % 1.0
         return out
 
     def make_point(*thetas):

@@ -25,8 +25,8 @@ from .arcs import ArcUnion, cut_midpoints
 from .nilgroup import NilGroup, element, inv, power, power_sequence
 from .nilmetric import MetricParams, dist_quotient_block
 
-# nilsystem orbits advance in chunks of this many steps; where the chunks
-# split fixes the rounding of the whole float trajectory
+# every orbit yields its rows in chunks of this many; where a nilsystem's
+# chunks split fixes the rounding of its whole float trajectory
 ORBIT_CHUNK = 4096
 
 
@@ -101,12 +101,16 @@ def _uniform_sampler(dim):
     return lambda rng, count: rng.uniform(0.0, 1.0, size=(count, dim))
 
 
+def _chunked(rows):
+    """The orbit of a closed form rows(X, lo, hi) whose row t depends on X and
+    t alone: rows lo..hi in chunks of ORBIT_CHUNK, so chunking changes no bit."""
+    return lambda X, lo, hi: (rows(X, a, min(a + ORBIT_CHUNK - 1, hi))
+                              for a in range(lo, hi + 1, ORBIT_CHUNK))
+
+
 def _translation(alpha):
     """Closed-form orbit of the translation by alpha on a torus."""
-    def orbit(X, lo, hi):
-        return (X + _times(lo, hi, X.ndim) * alpha) % 1.0
-
-    return orbit
+    return _chunked(lambda X, lo, hi: (X + _times(lo, hi, X.ndim) * alpha) % 1.0)
 
 
 def approx_rational(x):
@@ -126,15 +130,17 @@ def approx_rational(x):
 class SystemHandle:
     """A point space with a metric, an invertible transformation and a sampler.
 
-    `orbit` is the only dynamics a constructor supplies: the step and the
-    inverse step are its times 1 and -1.
+    `orbit` is the only dynamics a constructor supplies: `orbit(X, lo, hi)`
+    yields the rows T^lo X .. T^hi X as consecutive chunks of ORBIT_CHUNK
+    rows, the last one shorter, and no chunk for the empty span. The step
+    and the inverse step are its times 1 and -1.
     """
 
     name: str
     kind: str                      # torus | quotient | symbolic | product
     metric_block: callable         # rowwise distance of two blocks
     sample_block: callable         # (rng, count) -> block
-    orbit: callable                # (X (..., d), lo, hi) -> (hi-lo+1, ..., d)
+    orbit: callable                # (X (..., d), lo, hi) -> chunks (<= ORBIT_CHUNK, ..., d)
     diameter: float
     flags: tuple = ()
     # (n, eps, budget) -> (block, exact); exact: the rows are pairwise
@@ -149,11 +155,11 @@ class SystemHandle:
 
     def step(self, x):
         """T x of a point or a block."""
-        return self.orbit(np.asarray(x), 1, 1)[0]
+        return next(self.orbit(np.asarray(x), 1, 1))[0]
 
     def inverse_step(self, x):
         """T^-1 x of a point or a block."""
-        return self.orbit(np.asarray(x), -1, -1)[0]
+        return next(self.orbit(np.asarray(x), -1, -1))[0]
 
     # block spellings of the same maps, for callers that use those names
     # (the tests, perfbench's tracer)
@@ -169,9 +175,20 @@ class SystemHandle:
         A point of shape (d,) gives shape (hi-lo+1, d); a block of shape
         (..., d) gives (hi-lo+1, ..., d), one orbit per point (none at hi = lo - 1).
         """
-        if hi < lo - 1:
+        count = hi - lo + 1
+        if count < 0:
             raise ValueError("orbit span %d..%d has negative length" % (lo, hi))
-        return self.orbit(np.asarray(x), lo, hi)
+        # a span of one chunk is that chunk; an empty one takes the shape of row lo
+        chunks = self.orbit(np.asarray(x), lo, max(lo, hi))
+        first = next(chunks)
+        if count <= ORBIT_CHUNK:
+            return first[:count]
+        out = np.empty((count,) + first.shape[1:], dtype=first.dtype)
+        out[:ORBIT_CHUNK] = first
+        del first                       # each chunk is freed before the next is made
+        for a in range(ORBIT_CHUNK, count, ORBIT_CHUNK):
+            out[a:a + ORBIT_CHUNK] = next(chunks)
+        return out
 
     def orbit_block(self, x, count):
         return self.orbit_span(x, 0, count - 1)
@@ -251,6 +268,7 @@ def make_skew_product(alpha) -> SystemHandle:
         raise ValueError("skew product alpha must be finite, not %r" % alpha)
     alpha = float(alpha) % 1.0
 
+    @_chunked
     def orbit(X, lo, hi):
         n = _times(lo, hi, X.ndim - 1)
         out = np.empty((len(n),) + X.shape)
@@ -289,23 +307,17 @@ def make_nilsystem(group: NilGroup, tau,
         return dist_quotient_block(group, P, Q, metric_params)
 
     def orbit(X, lo, hi):
-        count = hi - lo + 1
-        out = np.empty((count,) + X.shape)
         base = np.asarray(X, dtype=float)
         if lo != 0:
             # jump to T^lo x, then advance forward
             jump = power(tau if lo > 0 else tau_inv, abs(lo))
             base = _reduce(group.mul_block(jump.coords, base))
         lead = (1,) * (X.ndim - 1)      # the powers broadcast over the block
-        filled = 0
-        while filled < count:
-            chunk = min(ORBIT_CHUNK, count - filled)
-            out[filled:filled + chunk] = _reduce(
-                group.mul_block(powers[:chunk].reshape((chunk,) + lead + (m,)), base))
-            filled += chunk
-            if filled < count:
-                base = _reduce(group.mul_block(powers[chunk], base))
-        return out
+        for a in range(lo, hi + 1, ORBIT_CHUNK):
+            if a > lo:
+                base = _reduce(group.mul_block(powers[ORBIT_CHUNK], base))
+            chunk = min(ORBIT_CHUNK, hi + 1 - a)
+            yield _reduce(group.mul_block(powers[:chunk].reshape((chunk,) + lead + (m,)), base))
 
     sample_block = _uniform_sampler(m)
     probe = sample_block(np.random.default_rng(0), 48)
@@ -461,6 +473,7 @@ def make_fullshift(k, L=8, reserve=128) -> SystemHandle:
             return None
         return out
 
+    @_chunked
     def orbit(X, lo, hi):
         # row t is the stored range of T^t x, with x zero outside that range
         left, right = max(-lo, 0), max(hi, 0)

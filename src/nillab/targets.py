@@ -131,8 +131,9 @@ def visits(sys, targets, Z, times, *, member):
     at an eighth of the memory. Each (i, z) row is contiguous. One orbit_span
     and one depth call per target for each chunk of about SCAN_ROWS orbit
     rows; every metric_block is row-wise (see `dist_quotient_block`), so
-    chunking changes no value. A span's float rows depend on its start, so
-    spans start at min(times[0], 0): a row at t >= 0 is the forward orbit's."""
+    chunking changes no value. A nilsystem's float rows depend on the span's
+    start (other systems' rows depend on t alone), so spans start at
+    min(times[0], 0): a row at t >= 0 is the forward orbit's."""
     times = np.asarray(times, dtype=np.int64)
     lo, hi = min(int(times[0]), 0), int(times[-1])
     rows = times - lo

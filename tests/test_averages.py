@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ import pytest
 from nillab.averages import (birkhoff, coordinate, coordinate_cos,
                              geometric_grid, oscillation_contrast,
                              unique_ergodicity_probe)
-from nillab.furstenberg import furstenberg_point, make_default_furstenberg
-from nillab.nilgroup import heisenberg3
-from nillab.systems import make_nilsystem, make_rotation
+from nillab.furstenberg import furstenberg_point, make_default_furstenberg, make_furstenberg
+from nillab.nilgroup import heisenberg3, load_group
+from nillab.systems import (make_fullshift, make_nilsystem, make_rotation, make_skew_product,
+                            make_sturmian, sample_points)
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -66,6 +68,56 @@ def test_birkhoff_grid_validation():
         birkhoff(rot, coordinate(0), np.array([0.0]), n_grid=[4, 4, 8])
     with pytest.raises(ValueError):
         birkhoff(rot, coordinate(0), np.array([0.0]))
+
+
+def test_birkhoff_refuses_an_empty_grid():
+    rot = make_rotation([GOLDEN])
+    with pytest.raises(ValueError, match="strictly increasing and positive"):
+        birkhoff(rot, coordinate(0), np.array([0.0]), n_grid=[])
+
+
+def every_family():
+    filiform4 = load_group(str(Path(__file__).parent / "golden" / "filiform4.json"))
+    return [
+        make_rotation([GOLDEN]), make_skew_product(GOLDEN),
+        make_nilsystem(heisenberg3(), [GOLDEN, np.sqrt(2) / 2, 0.0]),
+        make_nilsystem(filiform4, [GOLDEN, np.sqrt(2) / 2, 0.0, 0.0]),
+        make_sturmian(GOLDEN, L=12), make_fullshift(2, L=2, reserve=4),
+        make_furstenberg(GOLDEN, [(1, 1), (2, 2), (3, 3), (5, 4)]),
+    ]
+
+
+FAMILY_IDS = ["rotation", "skew", "heisenberg3", "filiform4", "sturmian", "fullshift",
+              "furstenberg"]
+
+
+@pytest.mark.parametrize("sys", every_family(), ids=FAMILY_IDS)
+def test_birkhoff_reads_the_rows_of_orbit_block(sys):
+    # N crosses many orbit chunks and three multiples of 65,536; the pass
+    # sees exactly the rows of one orbit_block, bit for bit
+    N = 200_000
+    x = sample_points(sys, 1, seed=3)[0]
+    seen = []
+
+    def record(P):
+        seen.append(np.array(P))
+        return np.zeros(len(P))
+
+    birkhoff(sys, record, x, n_max=N)
+    rows = sys.orbit_block(x, N)
+    assert np.array_equal(np.concatenate(seen).view(np.uint8), rows.view(np.uint8))
+
+
+@pytest.mark.parametrize("sys", every_family(), ids=FAMILY_IDS)
+def test_birkhoff_sum_is_one_running_sum_of_the_rows(sys):
+    # N A_N is the sequential sum of f along the rows, so chunking changes no bit
+    N = 200_000
+    x = sample_points(sys, 1, seed=3)[0]
+    f = lambda P: np.cos(np.asarray(P, dtype=float).sum(axis=-1))
+    tr = birkhoff(sys, f, x, n_max=N)
+    csum = np.cumsum(f(sys.orbit_block(x, N)))
+    grid = np.array(tr.n_grid)
+    assert np.array_equal(np.array(tr.averages), csum[grid - 1] / grid)
 
 
 def test_probe_rotation_consistent():
@@ -128,9 +180,9 @@ def test_furstenberg_oscillation_contrast():
     assert oscillation_contrast(tr, base) >= 5.0
 
 
-def test_birkhoff_holds_one_orbit_block_at_a_time():
-    # four Furstenberg blocks of 65,537 rows, 16 MiB each: the previous block
-    # is freed before the next one is made
+def test_birkhoff_holds_one_orbit_chunk_at_a_time():
+    # 2^18 Furstenberg rows are 64 MiB, one orbit chunk of them 1 MiB: the
+    # pass holds a chunk and the tables of the next one
     fu = make_default_furstenberg(K=30, lam=1.0)
     x = furstenberg_point(fu, 0.15, 0.35)
     tracemalloc.start()
@@ -139,4 +191,4 @@ def test_birkhoff_holds_one_orbit_block_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 24 * 2 ** 20
+    assert peak <= 6 * 2 ** 20

@@ -7,11 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nillab.furstenberg import (PHASE_CHUNK, TWO_PI, _cocycle_terms, _exact_phases,
-                                _harmonics, _ratio_pair, coboundary_prefix_residuals,
+from nillab.furstenberg import (TWO_PI, _cocycle_terms, _exact_phases, _harmonics,
+                                _ratio_pair, coboundary_prefix_residuals,
                                 coboundary_residual, furstenberg_point, liouville_recipe,
                                 make_default_furstenberg, make_furstenberg,
                                 validate_resonances)
+from nillab.systems import ORBIT_CHUNK
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -256,9 +257,9 @@ def test_make_point_rejects_a_wrong_coordinate_count():
 
 
 def test_orbit_block_peaks_near_its_result():
-    # the phase and cosine tables are built one chunk of rows at a time, so a
+    # the phase and cosine tables are built one orbit chunk at a time, so a
     # 65,537-step block (16 MiB) needs little beyond itself
-    assert 65537 > 2 * PHASE_CHUNK
+    assert 65537 > 2 * ORBIT_CHUNK
     sys = make_default_furstenberg(K=30)
     x = sys.make_point(0.15, 0.35)
     tracemalloc.start()
@@ -268,3 +269,25 @@ def test_orbit_block_peaks_near_its_result():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * block.nbytes
+
+
+def test_fiber_minus_lam_H_is_invariant_along_the_default_orbit():
+    # theta2(n) = theta2 + lam (H(phi_n) - H(phi_0)), so c = theta2 - lam H(phi)
+    # is invariant and (s1, s2) -> (s1, s2 - lam H(s1)) conjugates T to
+    # R_alpha x id: the fixture is not minimal. |lam H| <= sum 2/k < 8, where
+    # floats are at most 2^-50 apart; c holds to eight such spacings (7.1e-15)
+    # in windows that straddle orbit chunk boundaries out to n = 10^6
+    sys = make_default_furstenberg(K=30)
+    _, weights, _ = _harmonics(*liouville_recipe(K=30))
+    assert weights.sum() < 8.0
+
+    def c(P):
+        return (P[..., 1] - np.cos(TWO_PI * P[..., 2:]) @ weights) % 1.0
+
+    windows = [(0, ORBIT_CHUNK + 4)] + [(k * ORBIT_CHUNK - 4, (k + 1) * ORBIT_CHUNK + 4)
+                                        for k in (15, 16, 120, 243)] + [(10 ** 6 - 8, 10 ** 6)]
+    for start in ((0.15, 0.35), (0.7, 0.05), (0.5, 0.99)):
+        x = sys.make_point(*start)
+        for lo, hi in windows:
+            drift = np.abs(c(sys.orbit_span(x, lo, hi)) - c(x))
+            assert np.minimum(drift, 1.0 - drift).max() <= 8 * 2.0 ** -50

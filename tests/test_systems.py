@@ -13,7 +13,7 @@ from nillab.complexity import shadowing_net
 from nillab.furstenberg import make_furstenberg
 from nillab.nilgroup import (abelian, element, heisenberg3, inv, load_group, power,
                              power_sequence)
-from nillab.systems import (ORBIT_CHUNK, SymbolicWindow, approx_rational,
+from nillab.systems import (ORBIT_CHUNK, SymbolicWindow, _chunked, approx_rational,
                             make_fullshift, make_inverse_limit, make_nilsystem,
                             make_rotation, make_skew_product, make_sturmian,
                             sample_points, sturmian_code, wrap_dist_block)
@@ -343,7 +343,7 @@ def test_rotation_skew_tower_matches_its_thread_layout():
                           thread(tower.orbit_span(X, -20, 300)))
     budget = SearchBudget(grid_divisor=(16.0, 4.0))
     oracle = dataclasses.replace(
-        tower, metric_block=thread_metric, orbit=thread_orbit,
+        tower, metric_block=thread_metric, orbit=_chunked(thread_orbit),
         grid=lambda n, eps, budget: (thread(tower.grid(n, eps, budget)[0]), False))
     for n, eps in ((3, 0.2), (8, 0.3)):
         net, want = shadowing_net(tower, n, eps, budget), shadowing_net(oracle, n, eps, budget)
@@ -392,6 +392,22 @@ def test_orbit_span_rejects_a_negative_length(sys):
             sys.orbit_span(x, lo, hi)
     with pytest.raises(ValueError, match="negative length"):
         sys.orbit_block(X[0], -3)
+
+
+@pytest.mark.parametrize("sys", every_constructor(), ids=lambda s: s.name)
+def test_orbit_yields_consecutive_chunks(sys):
+    X = sample_points(sys, 3, seed=1)
+    assert list(sys.orbit(X, 5, 4)) == []
+    for lo, hi in ((0, 0), (7, 4102), (-5000, 9000)):
+        chunks = list(sys.orbit(X, lo, hi))
+        full, rest = divmod(hi - lo + 1, ORBIT_CHUNK)
+        assert [len(c) for c in chunks] == [ORBIT_CHUNK] * full + [rest] * (rest > 0)
+        assert all(c.shape[1:] == X.shape and c.dtype == chunks[0].dtype for c in chunks)
+        # each chunk starts one step after the last row of the one before, up
+        # to the rounding of the closed forms (the skew's n^2 alpha is 1e-9 off)
+        for prev, chunk in zip(chunks, chunks[1:]):
+            assert np.max(sys.metric_block(sys.step(prev[-1]), chunk[0])) <= 1e-6
+        assert np.array_equal(sys.orbit_span(X, lo, hi), np.concatenate(chunks))
 
 
 def traced_callables():
