@@ -12,8 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 
-def _frac(x):
-    return x - np.floor(x)
+def frac(x):
+    """x mod 1 of an array: the bits of `x % 1.0` on finite input (-2^-60 gives 1.0)."""
+    whole = np.floor(x)
+    return np.subtract(x, whole, out=whole) if isinstance(whole, np.ndarray) else x - whole
 
 
 class ArcUnion:
@@ -35,10 +37,9 @@ class ArcUnion:
     @staticmethod
     def interval(lo, hi) -> "ArcUnion":
         """Arc [lo, hi) taken mod 1; wraps across 0 are split in two."""
-        lo, hi = float(lo), float(hi)
-        if hi - lo >= 1.0:
+        if float(hi) - float(lo) >= 1.0:
             return ArcUnion([(0.0, 1.0)])
-        lo, hi = _frac(lo), _frac(hi)
+        lo, hi = float(lo) % 1.0, float(hi) % 1.0
         if lo < hi:
             return ArcUnion([(lo, hi)])
         if lo == hi:
@@ -96,8 +97,8 @@ def cut_midpoints(points):
     Duplicate cut points (within float equality) collapse; with p distinct
     cuts there are exactly p arcs and p midpoints.
     """
-    pts = np.unique(_frac(np.asarray(points, dtype=float)))
+    pts = np.unique(frac(np.asarray(points, dtype=float)))
     if pts.size == 0:
         return np.array([0.0])
     gaps = np.diff(np.concatenate([pts, [pts[0] + 1.0]]))
-    return _frac(pts + gaps / 2.0)
+    return frac(pts + gaps / 2.0)

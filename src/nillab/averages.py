@@ -29,13 +29,11 @@ class AverageTrace:
 
 def geometric_grid(n_max):
     """Powers of two up to n_max, always ending exactly at n_max."""
-    grid = []
-    n = 1
+    grid, n = [], 1
     while n < n_max:
         grid.append(n)
         n *= 2
-    grid.append(int(n_max))
-    return grid
+    return grid + [int(n_max)]
 
 
 def birkhoff(sys: SystemHandle, f, x, n_grid=None, n_max=None) -> AverageTrace:

@@ -29,7 +29,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .systems import SystemHandle, _chunked, _times, wrap_dist_block
+from .arcs import frac
+from .systems import ORBIT_CHUNK, SystemHandle, _times, wrap_dist_block
 
 TWO_PI = 2.0 * math.pi
 
@@ -111,21 +112,21 @@ def make_furstenberg(alpha, coeffs, lam=1.0) -> SystemHandle:
         cosines = np.take(np.cos(TWO_PI * phases), back, axis=-1)
         return np.einsum("...k,k->...", cosines, weights)
 
-    @_chunked
     def orbit(X, lo, hi):
-        # fiber telescopes: theta2(n) = theta2 + lam * (H(phases_n) - H(phases_0))
-        n = _times(lo, hi, X.ndim - 1)
-        out = np.empty((len(n),) + X.shape)
-        out[..., 0] = (X[..., 0] + n * alpha_f) % 1.0
         # equal rotation and start phases in every row: equal columns, advanced once
         keys = np.column_stack([rotations, X[..., 2:].reshape(X[..., 0].size, len(freqs)).T])
         _, first, back = np.unique(keys, axis=0, return_index=True, return_inverse=True)
         start, rotation = X[..., 2 + first], rotations[first]
-        phases = (start + n[..., None] * rotation) % 1.0
-        out[..., 2:] = phases[..., back]
-        # without harmonics both sums are 0 and the fiber stays put
-        out[..., 1] = (X[..., 1] + lam * (H(phases, back) - H(start, back))) % 1.0
-        return out
+        # fiber telescopes: theta2(n) = theta2 + lam * (H(phases_n) - H(phases_0))
+        H0 = H(start, back)             # 0 without harmonics: the fiber stays put
+        for a in range(lo, hi + 1, ORBIT_CHUNK):
+            n = _times(a, min(a + ORBIT_CHUNK - 1, hi), X.ndim - 1)
+            out = np.empty((len(n),) + X.shape)
+            out[..., 0] = frac(X[..., 0] + n * alpha_f)
+            phases = frac(start + n[..., None] * rotation)
+            out[..., 2:] = phases[..., back]
+            out[..., 1] = frac(X[..., 1] + lam * (H(phases, back) - H0))
+            yield out
 
     def make_point(*thetas):
         if len(thetas) != 2:
@@ -230,7 +231,8 @@ def liouville_recipe(K=30):
         p_prev, p_cur = p_cur, a * p_cur + p_prev
         q_prev, q_cur = q_cur, a * q_cur + q_prev
         qs.append(q_cur)
-        a = 8 * (2 ** (block * (j + 1))) * q_cur ** 3 + 1
+        if j < blocks:      # the last pass's quotient would go unused
+            a = 8 * (2 ** (block * (j + 1))) * q_cur ** 3 + 1
     alpha = _coprime_fraction(p_cur, q_cur)
     coeffs = [(qs[(k - 1) // block], k) for k in range(1, K + 1)]
     return alpha, coeffs

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arcs import ArcUnion, cut_midpoints
+from .arcs import ArcUnion, cut_midpoints, frac
 from .budgets import DEFAULT_BUDGET, SearchBudget
 from .nilmetric import BudgetError
 from .systems import SystemHandle, approx_rational, sturmian_coding
@@ -225,8 +225,8 @@ def _check_exact_partition(alpha, arcs, cuts, F):
                       % (n_patterns, len(cuts) * len(F))],
             note="counting bound: realizable patterns <= number of coding "
                  "cells (-1: realized set not enumerated)")
-    mids = cut_midpoints(np.asarray([c - j * alpha for j in F for c in cuts]) % 1.0)
-    pos = (mids[:, None] + np.asarray(F, dtype=float)[None, :] * alpha) % 1.0
+    mids = cut_midpoints(frac(np.asarray([c - j * alpha for j in F for c in cuts])))
+    pos = frac(mids[:, None] + np.asarray(F, dtype=float)[None, :] * alpha)
     sym = np.zeros(pos.shape, dtype=np.int8)        # 0: in no target
     for s, a in enumerate(arcs):
         sym[a.contains(pos)] = s + 1
@@ -401,7 +401,7 @@ def sturmian_language(alpha, n):
     if approx_rational(alpha) is not None:
         raise ValueError("rational alpha: the coding degenerates")
     coding = sturmian_coding(alpha)
-    cuts = (-np.arange(0, n + 1) * float(alpha)) % 1.0
+    cuts = frac(-np.arange(0, n + 1) * float(alpha))
     mids = cut_midpoints(cuts)
     words = coding.symbols_block(mids, np.arange(n))
     return set(map(tuple, words.tolist()))

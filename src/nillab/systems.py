@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arcs import ArcUnion, cut_midpoints
+from .arcs import ArcUnion, cut_midpoints, frac
 from .nilgroup import NilGroup, element, inv, power, power_sequence
 from .nilmetric import MetricParams, dist_quotient_block
 
@@ -58,7 +58,7 @@ def cell_count(sys, radius, *blocks):
 
 def cell_index(block, K):
     """Cell of each coordinate of a block in [0, 1] on a grid of K cells per
-    axis, as int64; `% 1.0` can give exactly 1.0, which joins the last cell."""
+    axis, as int64; `frac` can give exactly 1.0, which joins the last cell."""
     return np.clip((block * K).astype(np.int64), 0, K - 1)
 
 
@@ -110,7 +110,7 @@ def _chunked(rows):
 
 def _translation(alpha):
     """Closed-form orbit of the translation by alpha on a torus."""
-    return _chunked(lambda X, lo, hi: (X + _times(lo, hi, X.ndim) * alpha) % 1.0)
+    return _chunked(lambda X, lo, hi: frac(X + _times(lo, hi, X.ndim) * alpha))
 
 
 def approx_rational(x):
@@ -120,9 +120,9 @@ def approx_rational(x):
     ratio's convergents reach 1e-12 accuracy around q ~ 1e6) do not get
     misflagged.
     """
-    frac = Fraction(float(x)).limit_denominator(10 ** 4)
-    if abs(float(frac) - float(x)) <= 1e-12:
-        return frac
+    q = Fraction(float(x)).limit_denominator(10 ** 4)
+    if abs(float(q) - float(x)) <= 1e-12:
+        return q
     return None
 
 
@@ -161,8 +161,7 @@ class SystemHandle:
         """T^-1 x of a point or a block."""
         return next(self.orbit(np.asarray(x), -1, -1))[0]
 
-    # block spellings of the same maps, for callers that use those names
-    # (the tests, perfbench's tracer)
+    # block spellings of the same maps, which the tests and perfbench's tracer call
     step_block = step
     inverse_step_block = inverse_step
 
@@ -232,7 +231,7 @@ class CircleCoding:
         """
         z = np.asarray(z, dtype=float)
         offsets = np.asarray(offsets, dtype=float)
-        pos = (z[..., None] + offsets * self.alpha) % 1.0
+        pos = frac(z[..., None] + offsets * self.alpha)
         out = np.zeros(pos.shape, dtype=np.int8)
         for sym, arcs in enumerate(self.partition):
             if sym == 0:
@@ -246,7 +245,7 @@ class CircleCoding:
 
 def make_rotation(alpha) -> SystemHandle:
     """Rotation of the m-torus by the vector alpha (units of full turns)."""
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=float)) % 1.0
+    alpha = frac(np.atleast_1d(np.asarray(alpha, dtype=float)))
     m = alpha.size
     flags = ()
     rats = [approx_rational(a) for a in alpha]
@@ -272,8 +271,8 @@ def make_skew_product(alpha) -> SystemHandle:
     def orbit(X, lo, hi):
         n = _times(lo, hi, X.ndim - 1)
         out = np.empty((len(n),) + X.shape)
-        out[..., 0] = (X[..., 0] + n * alpha) % 1.0
-        out[..., 1] = (X[..., 1] + n * X[..., 0] + n * (n - 1) / 2.0 * alpha) % 1.0
+        out[..., 0] = frac(X[..., 0] + n * alpha)
+        out[..., 1] = frac(X[..., 1] + n * X[..., 0] + n * (n - 1) / 2.0 * alpha)
         return out
 
     return SystemHandle(
@@ -378,7 +377,7 @@ def make_sturmian(alpha, L=16) -> SystemHandle:
         # one point per coding cell of the window that decides (n, eps)-shadowing
         w = symbol_resolution(eps)
         lo, hi = -(w - 1), n + (w - 1)
-        cuts = (-np.arange(lo, hi + 2) * alpha) % 1.0
+        cuts = frac(-np.arange(lo, hi + 2) * alpha)
         mids = cut_midpoints(cuts)
         if mids.size > budget.max_cells:
             raise GridError("sturmian cylinder grid has %d points (> budget %d)"

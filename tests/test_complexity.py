@@ -286,7 +286,7 @@ def test_non_torus_metrics_take_one_cell_and_match_full_scan():
 
 
 def test_net_coordinate_exactly_one_joins_the_last_cell():
-    # -2^-60 % 1.0 rounds to exactly 1.0, which shadows 0.0 across the wrap
+    # frac(-2^-60) rounds to exactly 1.0, which shadows 0.0 across the wrap
     rot = make_rotation([GOLDEN])
     grid = np.r_[0.0, -2.0 ** -60, (np.arange(40) + 0.5) / 40][:, None]
     assert rot.orbit_span(grid, 0, 0)[0, 1, 0] == 1.0

@@ -71,6 +71,30 @@ def test_recipe_resonances_certified():
     assert r1 <= 2.0 ** (-1) / (coeffs[0][0] ** 4) / (2 * np.pi)
 
 
+def _recipe_with_every_quotient(K):
+    """The recipe's loop as it was, building one unused quotient at the end."""
+    block, a = 5, 7
+    blocks = (K + block - 1) // block
+    p_prev, p_cur = 1, 0
+    q_prev, q_cur = 0, 1
+    qs = []
+    for j in range(blocks + 1):
+        p_prev, p_cur = p_cur, a * p_cur + p_prev
+        q_prev, q_cur = q_cur, a * q_cur + q_prev
+        qs.append(q_cur)
+        a = 8 * (2 ** (block * (j + 1))) * q_cur ** 3 + 1
+    return Fraction(p_cur, q_cur), [(qs[(k - 1) // block], k) for k in range(1, K + 1)]
+
+
+@pytest.mark.parametrize("K", [1, 5, 6, 12, 30, 40])
+def test_recipe_skips_the_unused_quotient(K):
+    alpha, coeffs = liouville_recipe(K=K)
+    want_alpha, want_coeffs = _recipe_with_every_quotient(K)
+    assert (alpha.numerator, alpha.denominator) == (want_alpha.numerator,
+                                                    want_alpha.denominator)
+    assert coeffs == want_coeffs
+
+
 def test_recipe_rejects_impractical_K():
     with pytest.raises(ValueError):
         liouville_recipe(K=45)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nillab import independence, targets
-from nillab.arcs import ArcUnion
+from nillab.arcs import ArcUnion, cut_midpoints
 from nillab.budgets import SearchBudget
 from nillab.independence import (Ball, Cylinder, SetTuple, _route_context,
                                  check_independence, find_ip_independence, fs_set,
@@ -666,3 +666,27 @@ def test_fullshift_alphabet_bounds_construct_point():
     # the check needs no room: a one-symbol probe fits any stored range
     tiny = make_fullshift(2, L=0, reserve=0)
     assert independence.empty_target(tiny, (Cylinder((1, 0, 1), 5),)) is None
+
+
+def _partition_witnesses_mod1(alpha, arcs, cuts, F):
+    """The partition route's coding cells, reduced with `% 1.0`."""
+    mids = cut_midpoints(np.asarray([c - j * alpha for j in F for c in cuts]) % 1.0)
+    pos = (mids[:, None] + np.asarray(F, dtype=float)[None, :] * alpha) % 1.0
+    sym = np.zeros(pos.shape, dtype=np.int8)
+    for s, a in enumerate(arcs):
+        sym[a.contains(pos)] = s + 1
+    return {tuple(row): mids[i] for i, row in enumerate(sym)}
+
+
+@pytest.mark.parametrize("F", [(0, 1), (0, 3, 5, 8), (-7, -2, 0, 4), (0, 1, 2, 3, 4, 5, 6)])
+def test_partition_cells_keep_the_bits_of_mod_one(F):
+    for sys in (make_sturmian(GOLDEN), make_sturmian(-np.sqrt(2.0), L=8)):
+        arcs = [t.arcs(sys.coding) for t in BINARY.targets]
+        cuts = sorted({b for a in arcs for b in a.boundaries()})
+        rep = check_independence(sys, BINARY, F)
+        assert rep.method == "exact-language"
+        want = _partition_witnesses_mod1(sys.coding.alpha, arcs, cuts, F)
+        assert rep.realized_patterns == len(want)
+        assert list(rep.witnesses) == list(want)[:512]
+        for pat, z in rep.witnesses.items():
+            assert z.view(np.int64).tolist() == [np.float64(want[pat]).view(np.int64)]

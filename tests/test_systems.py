@@ -1,5 +1,6 @@
 """The system zoo: constructor semantics, inverses, metrics, samplers."""
 
+import ast
 import dataclasses
 import importlib.util
 import tracemalloc
@@ -8,15 +9,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nillab
+from nillab.arcs import cut_midpoints
 from nillab.budgets import SearchBudget
 from nillab.complexity import shadowing_net
-from nillab.furstenberg import make_furstenberg
+from nillab.furstenberg import (TWO_PI, _harmonics, liouville_recipe, make_default_furstenberg,
+                                make_furstenberg)
+from nillab.independence import sturmian_language
 from nillab.nilgroup import (abelian, element, heisenberg3, inv, load_group, power,
                              power_sequence)
-from nillab.systems import (ORBIT_CHUNK, SymbolicWindow, _chunked, approx_rational,
+from nillab.systems import (ORBIT_CHUNK, SymbolicWindow, _chunked, _times, approx_rational,
                             make_fullshift, make_inverse_limit, make_nilsystem,
                             make_rotation, make_skew_product, make_sturmian,
-                            sample_points, sturmian_code, wrap_dist_block)
+                            sample_points, sturmian_code, symbol_resolution,
+                            wrap_dist_block)
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -508,3 +514,122 @@ def test_wrap_dist_block_matches_a_max_over_the_last_axis():
             assert type(got) is type(want) and got.shape == want.shape
             assert np.array_equal(np.asarray(got).view(np.int64),
                                   np.asarray(want).view(np.int64))
+
+
+# -- every closed form against its `% 1.0` formula -------------------------------
+# The orbits reduce mod 1 with `frac`; these are the same closed forms written
+# with `% 1.0`, chunk by chunk, and the rows must agree bit for bit.
+
+
+def _mod1_chunks(rows, X, lo, hi):
+    return np.concatenate([rows(X, a, min(a + ORBIT_CHUNK - 1, hi))
+                           for a in range(lo, hi + 1, ORBIT_CHUNK)])
+
+
+def _mod1_rotation(alpha):
+    alpha = np.atleast_1d(np.asarray(alpha, dtype=float)) % 1.0
+    return lambda X, lo, hi: (X + _times(lo, hi, X.ndim) * alpha) % 1.0
+
+
+def _mod1_skew(alpha):
+    alpha = float(alpha) % 1.0
+
+    def rows(X, lo, hi):
+        n = _times(lo, hi, X.ndim - 1)
+        out = np.empty((len(n),) + X.shape)
+        out[..., 0] = (X[..., 0] + n * alpha) % 1.0
+        out[..., 1] = (X[..., 1] + n * X[..., 0] + n * (n - 1) / 2.0 * alpha) % 1.0
+        return out
+    return rows
+
+
+def _mod1_furstenberg(alpha, coeffs, lam=1.0):
+    freqs, weights, rotations = _harmonics(alpha, coeffs)
+
+    def H(phases, back):
+        cosines = np.take(np.cos(TWO_PI * phases), back, axis=-1)
+        return np.einsum("...k,k->...", cosines, weights)
+
+    def rows(X, lo, hi):
+        n = _times(lo, hi, X.ndim - 1)
+        out = np.empty((len(n),) + X.shape)
+        out[..., 0] = (X[..., 0] + n * float(alpha)) % 1.0
+        keys = np.column_stack([rotations, X[..., 2:].reshape(X[..., 0].size, len(freqs)).T])
+        _, first, back = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        start, rotation = X[..., 2 + first], rotations[first]
+        phases = (start + n[..., None] * rotation) % 1.0
+        out[..., 2:] = phases[..., back]
+        out[..., 1] = (X[..., 1] + lam * (H(phases, back) - H(start, back))) % 1.0
+        return out
+    return rows
+
+
+SMALL_SERIES = [(1, 1), (2, 2), (3, 3), (5, 4)]
+MOD1_FAMILIES = {
+    "rotation1": lambda: (make_rotation([GOLDEN]), _mod1_rotation([GOLDEN])),
+    "rotation3": lambda: (make_rotation([GOLDEN, -np.sqrt(2) / 2, -2.0 ** -60]),
+                          _mod1_rotation([GOLDEN, -np.sqrt(2) / 2, -2.0 ** -60])),
+    "skew": lambda: (make_skew_product(GOLDEN), _mod1_skew(GOLDEN)),
+    "sturmian": lambda: (make_sturmian(-GOLDEN, L=12), _mod1_rotation(float(-GOLDEN) % 1.0)),
+    "furstenberg": lambda: (make_furstenberg(GOLDEN, SMALL_SERIES, lam=0.7),
+                            _mod1_furstenberg(GOLDEN, SMALL_SERIES, lam=0.7)),
+    "furstenberg-default": lambda: (make_default_furstenberg(),
+                                    _mod1_furstenberg(*liouville_recipe())),
+}
+MOD1_SPANS = [(0, 0), (0, 4095), (0, 4096), (7, 4102), (-5000, 9000), (-10000, -1),
+              (10 ** 7, 10 ** 7 + 4100), (10 ** 9, 10 ** 9 + 99), (-10 ** 9, -10 ** 9 + 99)]
+
+
+@pytest.mark.parametrize("family", MOD1_FAMILIES, ids=str)
+def test_closed_form_orbits_keep_the_bits_of_mod_one(family):
+    sys, rows = MOD1_FAMILIES[family]()
+    X = sample_points(sys, 3, seed=5)
+    for start in (X[0], X):
+        for lo, hi in MOD1_SPANS:
+            want = _mod1_chunks(rows, start, lo, hi)
+            assert np.array_equal(sys.orbit_span(start, lo, hi).view(np.int64),
+                                  want.view(np.int64)), (lo, hi)
+    want = _mod1_chunks(rows, X[1], 0, 299_999)
+    assert np.array_equal(sys.orbit_block(X[1], 300_000).view(np.int64), want.view(np.int64))
+
+
+def test_sturmian_codings_keep_the_bits_of_mod_one():
+    alpha = float(-GOLDEN) % 1.0
+    sys = make_sturmian(-GOLDEN, L=12)
+    coding = sys.coding
+
+    def symbols(z, offsets):
+        pos = (np.asarray(z, dtype=float)[..., None] + np.asarray(offsets, dtype=float)
+               * alpha) % 1.0
+        out = np.zeros(pos.shape, dtype=np.int8)
+        out[coding.partition[1].contains(pos)] = 1
+        return out
+
+    P = np.concatenate([sample_points(sys, 200, seed=6), [[0.0], [-2.0 ** -60], [1 - alpha]]])
+    assert np.array_equal(sys.window(P), symbols(P[:, 0], np.arange(-12, 13)))
+    for n, eps in ((0, 0.5), (3, 0.2), (6, 0.05)):
+        w = symbol_resolution(eps)
+        cuts = (-np.arange(-(w - 1), n + w + 1) * alpha) % 1.0
+        got = sys.grid(n, eps, SearchBudget())[0][:, 0]
+        assert np.array_equal(got.view(np.int64), cut_midpoints(cuts).view(np.int64))
+    for n in range(1, 40):
+        mids = cut_midpoints((-np.arange(0, n + 1) * alpha) % 1.0)
+        assert sturmian_language(-GOLDEN, n) == set(map(tuple, symbols(mids, np.arange(n))
+                                                        .tolist()))
+
+
+def test_src_reduces_float_arrays_mod_one_with_frac():
+    # `x % 1.0` of an orbit chunk is 5 to 24 times slower than `frac`, with
+    # the same bits; only a Python float (a `float(...)` call) may use it
+    bad = []
+    for path in sorted(Path(nillab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+                    and isinstance(node.right, ast.Constant)
+                    and type(node.right.value) in (int, float) and node.right.value == 1):
+                continue
+            left = node.left
+            if not (isinstance(left, ast.Call) and isinstance(left.func, ast.Name)
+                    and left.func.id == "float"):
+                bad.append("%s:%d" % (path.name, node.lineno))
+    assert not bad, "use arcs.frac for mod 1 at " + ", ".join(bad)
